@@ -23,11 +23,9 @@ from .linalg import (LinMap, SCALAR, Space, Subspace, composite_map, flip,
                      tensor_subspace, try_inverse)
 from .report import Check, Report
 from .hopf import (GroupTable, HopfAlgebra, HopfMorphism, HopfProjection,
-                   adjoint_action, adjoint_coaction, check_cocommutative,
-                   check_group_hom, check_hopf, check_morphism,
-                   conjugation_action, cyclic_group, direct_product_action,
-                   group_algebra, group_like_basis_indices,
-                   linearize_group_hom, max_dim, semidirect_product,
+                   adjoint_action, check_cocommutative, check_group_hom,
+                   check_hopf, check_morphism, conjugation_action,
+                   cyclic_group, group_algebra, linearize_group_hom, max_dim, semidirect_product,
                    sweedler_algebra, symmetric_group_3, s3_sign_indices,
                    trivial_group, zero_morphism)
 from .yd import (BraidedHopfAlgebra, BraidedMap, YDCategory, YDModule,

@@ -14,7 +14,6 @@ the dimension of any constructed algebra.
 """
 
 import argparse
-import os
 import sys
 
 from . import __version__, fixtures, io
@@ -32,7 +31,7 @@ from .report import Report
 from .simplicial import (GroupCrossedModule, TruncatedSimplicialHopf,
                          check_fg_commutation, dim2_pipeline, extract_xmod,
                          identity_crossed_module, level3_restriction_probe,
-                         level_rker, linearize, moore_group_oracle,
+                         linearize, moore_group_oracle,
                          nerve_of_crossed_module, peiffer_pairing,
                          verify_simplicial)
 
@@ -40,14 +39,17 @@ from .simplicial import (GroupCrossedModule, TruncatedSimplicialHopf,
 # -- input plumbing -----------------------------------------------------
 
 
+def _require_allow_large(args, name: str):
+    if fixtures.builtin_is_large(name) and not args.allow_large:
+        raise UsageError(
+            f"builtin {name!r} has dim-216 levels; pass --allow-large")
+
+
 def _load(args):
     """The object named by --builtin/--input, or UsageError."""
     if getattr(args, "builtin", None):
-        name = args.builtin
-        if fixtures.builtin_is_large(name) and not args.allow_large:
-            raise UsageError(
-                f"builtin {name!r} has dim-216 levels; pass --allow-large")
-        return fixtures.builtin_raw(name)
+        _require_allow_large(args, args.builtin)
+        return fixtures.builtin_raw(args.builtin)
     if getattr(args, "input", None):
         return io.parse_definition(args.input).value
     raise UsageError("choose an object with --builtin NAME or --input PATH")
@@ -294,9 +296,7 @@ def _cmd_extract_xmod(args) -> Report:
 def _cmd_moore_oracle(args) -> Report:
     name = getattr(args, "builtin", None)
     if name in ("nerve-c2-id", "nerve-c2-trivial", "nerve-s3-id"):
-        if fixtures.builtin_is_large(name) and not args.allow_large:
-            raise UsageError(
-                f"builtin {name!r} has dim-216 levels; pass --allow-large")
+        _require_allow_large(args, name)
         return moore_group_oracle(fixtures.group_nerve(name),
                                   fixtures.crossed_module(
                                       name.removeprefix("nerve-")))

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DimensionCapExceeded, DimensionMismatch, InvalidGroup,
                      NonInvertibleAntipode, NotAProjection)
 from .linalg import (SCALAR, LinMap, Space, composite_map, flip, iso_map,
-                     left_unitor, right_unitor, tensor_space, try_inverse)
+                     left_unitor, rank, right_unitor, tensor_space)
 from .report import Report
 
 _ENV_CAP = "HOPFFORGE_MAX_DIM"
@@ -65,8 +65,7 @@ class HopfAlgebra:
 
     ``ambient`` supplies the braiding used in the bialgebra compatibility
     law; ``obj`` is the carrier as an object of that category (for Vect it
-    is just the space).  The antipode inverse is computed eagerly: a
-    singular antipode is rejected outright.
+    is just the space).  A singular antipode is rejected outright.
     """
 
     def __init__(self, space: Space, mul: LinMap, unit: LinMap, comul: LinMap,
@@ -95,8 +94,7 @@ class HopfAlgebra:
         self.ambient = ambient
         self.obj = space if obj is None else obj
         self.name = name
-        self.antipode_inv = try_inverse(antipode)
-        if self.antipode_inv is None:
+        if rank(antipode) != space.dim:
             raise NonInvertibleAntipode(f"{name}: antipode matrix is singular")
 
     @property
@@ -167,7 +165,7 @@ def check_hopf(h: HopfAlgebra) -> Report:
                  composite_map(S, S, [comul, [ant, S], mul]), eta_eps)
     rep.equality("antipode-right",
                  composite_map(S, S, [comul, [S, ant], mul]), eta_eps)
-    rep.add("antipode-invertible", h.antipode_inv is not None)
+    rep.add("antipode-invertible", True)   # a singular one fails construction
     rep.info("cocommutative", str(check_cocommutative(h)))
     return rep
 
@@ -226,64 +224,33 @@ class HopfProjection:
     """
 
     def __init__(self, big: HopfAlgebra, small: HopfAlgebra, proj: LinMap,
-                 incl: LinMap, name: str = "p", *, check: bool = True):
+                 incl: LinMap, name: str = "p"):
         self.big = big
         self.small = small
         self.proj = HopfMorphism(big, small, proj, name=f"{name}.proj")
         self.incl = HopfMorphism(small, big, incl, name=f"{name}.incl")
         self.name = name
-        if check:
-            if (proj @ incl) != LinMap.identity(small.space):
-                raise NotAProjection(f"{name}: proj . incl != id")
-            for leg in (self.proj, self.incl):
-                leg_rep = check_morphism(leg)
-                if not leg_rep.ok:
-                    bad = leg_rep.failed()[0]
-                    raise NotAProjection(
-                        f"{name}: {leg.name} fails {bad.name}")
+        if (proj @ incl) != LinMap.identity(small.space):
+            raise NotAProjection(f"{name}: proj . incl != id")
+        for leg in (self.proj, self.incl):
+            leg_rep = check_morphism(leg)
+            if not leg_rep.ok:
+                bad = leg_rep.failed()[0]
+                raise NotAProjection(f"{name}: {leg.name} fails {bad.name}")
 
     def __repr__(self):
         return f"HopfProjection({self.big.name} -> {self.small.name})"
 
 
-def adjoint_action(h: HopfAlgebra, side: str = "left") -> LinMap:
-    """The (co)adjoint action of h on itself: a |> b = sum a' b S(a'').
+def adjoint_action(h: HopfAlgebra) -> LinMap:
+    """The adjoint action of h on itself: a |> b = sum a' b S(a'').
 
-    side='right' gives b <| a = sum S(a') b a''.  On a group algebra the
-    left action sends g (x) x to g x g^{-1}.
+    On a group algebra it sends g (x) x to g x g^{-1}.
     """
     S = h.space
-    sq = tensor_space(S, S)
     R = h.self_braiding()
-    if side == "left":
-        stages = [[h.comul, S], [S, R], [S, S, h.antipode], [h.mul, S], h.mul]
-    elif side == "right":
-        stages = [[h.comul, S], [S, R], [h.antipode, S, S], [h.mul, S], h.mul]
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return composite_map(sq, S, stages)
-
-
-def adjoint_coaction(h: HopfAlgebra) -> LinMap:
-    """y |-> sum y' S(y''') (x) y''."""
-    S = h.space
-    sq = tensor_space(S, S)
-    R = h.self_braiding()
-    return composite_map(S, sq, [
-        h.comul, [h.comul, S], [S, S, h.antipode], [S, R], [h.mul, S]])
-
-
-def group_like_basis_indices(h: HopfAlgebra) -> list:
-    """Basis vectors v with comul(v) == v (x) v and counit(v) == 1."""
-    out = []
-    for j in range(h.dim):
-        if h.counit.entry(0, j) != 1:
-            continue
-        col = h.comul.column(j)
-        if col == {j * h.dim + j: col.get(j * h.dim + j)} and \
-                col.get(j * h.dim + j) == 1:
-            out.append(j)
-    return out
+    return composite_map(tensor_space(S, S), S, [
+        [h.comul, S], [S, R], [S, S, h.antipode], [h.mul, S], h.mul])
 
 
 # -- finite groups ----------------------------------------------------
@@ -410,11 +377,6 @@ def semidirect_product(m: GroupTable, n: GroupTable, action,
                 for j2 in range(n.order):
                     table[a, i2 * n.order + j2] = base + row_n[j2]
     return GroupTable(labels, table, name=name or f"{m.name}x|{n.name}")
-
-
-def direct_product_action(m: GroupTable, n: GroupTable):
-    """Trivial action table (direct product) for semidirect_product."""
-    return [[i for i in range(m.order)] for _ in range(n.order)]
 
 
 def conjugation_action(g: GroupTable):

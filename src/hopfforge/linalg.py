@@ -23,14 +23,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import ClosureFailure, DimensionMismatch
+from .errors import ClosureFailure, DimensionCapExceeded, DimensionMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Above this cell count a matrix is stored sparse no matter what the density
-# heuristic says; a dense 46656 x 46656 tuple-of-rows would be gigabytes.
-_DENSE_CELL_LIMIT = 1_048_576
+# to_rows and Space.labels refuse to materialise more cells or labels than
+# this; a 216 x 46656 list of rows is already ten million Fractions.
+_MAX_CELLS = 1_048_576
 
 
 def rat(x) -> Fraction:
@@ -94,8 +94,9 @@ class Space:
     @property
     def labels(self) -> tuple:
         if self._labels is None:
-            if self.dim > _DENSE_CELL_LIMIT:
-                raise MemoryError(f"refusing to materialise {self.dim} labels")
+            if self.dim > _MAX_CELLS:
+                raise DimensionCapExceeded(
+                    f"refusing to materialise {self.dim} > {_MAX_CELLS} labels")
             self._labels = tuple(self.label(i) for i in range(self.dim))
         return self._labels
 
@@ -105,10 +106,6 @@ class Space:
         if not isinstance(other, Space):
             return NotImplemented
         return self.dim == other.dim and self._atoms() == other._atoms()
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __hash__(self):
         return hash((self.dim, len(self.factors())))
@@ -153,58 +150,30 @@ def _encode(coords, dims) -> int:
     return idx
 
 
-def _auto_storage(nrows: int, ncols: int, nnz: int) -> str:
-    cells = nrows * ncols
-    if cells > _DENSE_CELL_LIMIT:
-        return "sparse"
-    if max(nrows, ncols) > 32 and nnz * 10 < cells:
-        return "sparse"
-    return "dense"
-
-
 class LinMap:
     """Exact linear map between two spaces.
 
-    Storage is either 'dense' (tuple of row tuples) or 'sparse'
-    (dict column -> {row: value}, zero entries omitted).  Every operation
-    produces identical entries regardless of storage; the flag only picks
-    the representation of the result (spec'd heuristic: sparse once the
-    matrix is bigger than 32 and under 10% full).
+    Stored as a dict column -> {row: value} with zero entries and zero
+    columns omitted.
     """
 
-    __slots__ = ("dom", "cod", "storage", "_cols", "_dense")
+    __slots__ = ("dom", "cod", "_cols")
 
-    def __init__(self, dom: Space, cod: Space, cols: dict, storage: str = "auto"):
+    def __init__(self, dom: Space, cod: Space, cols: dict):
         self.dom = dom
         self.cod = cod
         clean = {}
-        nnz = 0
         for j, col in cols.items():
             c = {i: (v if isinstance(v, Fraction) else rat(v))
                  for i, v in col.items() if v}
             if c:
                 clean[j] = c
-                nnz += len(c)
-        if storage == "auto":
-            storage = _auto_storage(cod.dim, dom.dim, nnz)
-        if storage == "dense":
-            rows = [[_ZERO] * dom.dim for _ in range(cod.dim)]
-            for j, col in clean.items():
-                for i, v in col.items():
-                    rows[i][j] = v
-            self._dense = tuple(tuple(r) for r in rows)
-            self._cols = None
-        elif storage == "sparse":
-            self._dense = None
-            self._cols = clean
-        else:
-            raise ValueError(f"unknown storage {storage!r}")
-        self.storage = storage
+        self._cols = clean
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rows(cls, dom: Space, cod: Space, rows, storage: str = "auto") -> "LinMap":
+    def from_rows(cls, dom: Space, cod: Space, rows) -> "LinMap":
         rows = [list(r) for r in rows]
         if len(rows) != cod.dim or any(len(r) != dom.dim for r in rows):
             raise DimensionMismatch(
@@ -216,79 +185,54 @@ class LinMap:
                 v = rat(x)
                 if v:
                     cols.setdefault(j, {})[i] = v
-        return cls(dom, cod, cols, storage)
+        return cls(dom, cod, cols)
 
     @classmethod
-    def from_entries(cls, dom: Space, cod: Space, entries: dict, storage: str = "auto") -> "LinMap":
+    def from_entries(cls, dom: Space, cod: Space, entries: dict) -> "LinMap":
         cols: dict = {}
         for (i, j), x in entries.items():
             v = rat(x)
             if v:
                 cols.setdefault(j, {})[i] = v
-        return cls(dom, cod, cols, storage)
+        return cls(dom, cod, cols)
 
     @classmethod
-    def identity(cls, space: Space, storage: str = "auto") -> "LinMap":
-        return cls(space, space, {j: {j: _ONE} for j in range(space.dim)}, storage)
+    def identity(cls, space: Space) -> "LinMap":
+        return cls(space, space, {j: {j: _ONE} for j in range(space.dim)})
 
     @classmethod
-    def zero(cls, dom: Space, cod: Space, storage: str = "auto") -> "LinMap":
-        return cls(dom, cod, {}, storage)
+    def zero(cls, dom: Space, cod: Space) -> "LinMap":
+        return cls(dom, cod, {})
 
     # -- access -------------------------------------------------------
 
     def column(self, j: int) -> dict:
         """Column as {row: value}; treat the result as read-only."""
-        if self._cols is not None:
-            return self._cols.get(j, {})
-        return {i: row[j] for i, row in enumerate(self._dense) if row[j]}
+        return self._cols.get(j, {})
 
     def entry(self, i: int, j: int) -> Fraction:
-        if self._dense is not None:
-            return self._dense[i][j]
         return self._cols.get(j, {}).get(i, _ZERO)
 
     def items(self):
         """Iterate nonzero entries as (row, col, value)."""
-        if self._cols is not None:
-            for j, col in self._cols.items():
-                for i, v in col.items():
-                    yield i, j, v
-        else:
-            for i, row in enumerate(self._dense):
-                for j, v in enumerate(row):
-                    if v:
-                        yield i, j, v
+        for j, col in self._cols.items():
+            for i, v in col.items():
+                yield i, j, v
 
     @property
     def nnz(self) -> int:
-        return sum(1 for _ in self.items())
+        return sum(len(col) for col in self._cols.values())
 
     def to_rows(self):
-        if self.cod.dim * self.dom.dim > _DENSE_CELL_LIMIT:
-            raise MemoryError("matrix too large to densify")
-        if self._dense is not None:
-            return [list(r) for r in self._dense]
+        cells = self.cod.dim * self.dom.dim
+        if cells > _MAX_CELLS:
+            raise DimensionCapExceeded(
+                f"refusing to render a {self.cod.dim}x{self.dom.dim} matrix "
+                f"({cells} > {_MAX_CELLS} cells)")
         rows = [[_ZERO] * self.dom.dim for _ in range(self.cod.dim)]
         for i, j, v in self.items():
             rows[i][j] = v
         return rows
-
-    def with_storage(self, storage: str) -> "LinMap":
-        if storage == self.storage:
-            return self
-        cols: dict = {}
-        for i, j, v in self.items():
-            cols.setdefault(j, {})[i] = v
-        return LinMap(self.dom, self.cod, cols, storage)
-
-    def _col_dict(self) -> dict:
-        if self._cols is not None:
-            return self._cols
-        cols: dict = {}
-        for i, j, v in self.items():
-            cols.setdefault(j, {})[i] = v
-        return cols
 
     # -- algebra ------------------------------------------------------
 
@@ -311,8 +255,8 @@ class LinMap:
             raise DimensionMismatch(
                 f"compose: inner spaces differ ({other.cod!r} vs {self.dom!r})")
         cols = {}
-        for j in (other._cols if other._cols is not None else range(other.dom.dim)):
-            c = self.apply(other.column(j))
+        for j, col in other._cols.items():
+            c = self.apply(col)
             if c:
                 cols[j] = c
         return LinMap(other.dom, self.cod, cols)
@@ -322,8 +266,8 @@ class LinMap:
         cod = tensor_space(self.cod, other.cod)
         oc, od = other.cod.dim, other.dom.dim
         cols: dict = {}
-        for j1, col1 in self._col_dict().items():
-            for j2, col2 in other._col_dict().items():
+        for j1, col1 in self._cols.items():
+            for j2, col2 in other._cols.items():
                 dst = cols.setdefault(j1 * od + j2, {})
                 for i1, v1 in col1.items():
                     base = i1 * oc
@@ -337,7 +281,7 @@ class LinMap:
 
     def __add__(self, other: "LinMap") -> "LinMap":
         self._require_same_shape(other)
-        cols = {j: dict(col) for j, col in self._col_dict().items()}
+        cols = {j: dict(col) for j, col in self._cols.items()}
         for i, j, v in other.items():
             dst = cols.setdefault(j, {})
             nv = dst.get(i, _ZERO) + v
@@ -350,7 +294,7 @@ class LinMap:
     def __neg__(self) -> "LinMap":
         return LinMap(self.dom, self.cod,
                       {j: {i: -v for i, v in col.items()}
-                       for j, col in self._col_dict().items()})
+                       for j, col in self._cols.items()})
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         return self + (-other)
@@ -361,10 +305,10 @@ class LinMap:
             return LinMap.zero(self.dom, self.cod)
         return LinMap(self.dom, self.cod,
                       {j: {i: s * v for i, v in col.items()}
-                       for j, col in self._col_dict().items()})
+                       for j, col in self._cols.items()})
 
     def is_zero(self) -> bool:
-        return next(iter(self.items()), None) is None
+        return not self._cols
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -372,10 +316,6 @@ class LinMap:
         if self.dom != other.dom or self.cod != other.cod:
             return False
         return self.first_difference(other) is None
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     __hash__ = None
 
@@ -386,7 +326,7 @@ class LinMap:
         order used by every checker: the column index is the domain basis
         vector on which the two sides of a law first disagree.
         """
-        a, b = self._col_dict(), other._col_dict()
+        a, b = self._cols, other._cols
         for j in sorted(set(a) | set(b)):
             ca, cb = a.get(j, {}), b.get(j, {})
             if ca == cb:
@@ -398,12 +338,7 @@ class LinMap:
         return None
 
     def __repr__(self):
-        return f"LinMap({self.dom.dim}->{self.cod.dim}, nnz={self.nnz}, {self.storage})"
-
-
-def compose(f: LinMap, g: LinMap) -> LinMap:
-    """f after g."""
-    return f @ g
+        return f"LinMap({self.dom.dim}->{self.cod.dim}, nnz={self.nnz})"
 
 
 def tensor_map(f: LinMap, g: LinMap) -> LinMap:

@@ -154,8 +154,7 @@ def bosonisation(a: BraidedHopfAlgebra) -> HopfAlgebra:
     h = a.over
     A, H = a.space, h.space
     phi = a.carrier.coaction
-    sm = smash_product(h, a, a.carrier.action, upgrade="algebra")
-    space = sm.space
+    space, mul, unit = smash_product(h, a, a.carrier.action)
     comul = composite_map(space, tensor_space(space, space), [
         [a.comul, h.comul],
         [A, phi, H, H],
@@ -169,8 +168,8 @@ def bosonisation(a: BraidedHopfAlgebra) -> HopfAlgebra:
     into_h = composite_map(H, space, [left_unitor(H), [a.unit, H]])
     antipode = composite_map(space, space, [
         [phi, H], [H, flip(A, H)], [h.mul, A],
-        [h.antipode, a.antipode], [into_h, into_a], sm.mul])
-    return HopfAlgebra(space, sm.mul, sm.unit, comul, counit, antipode,
+        [h.antipode, a.antipode], [into_h, into_a], mul])
+    return HopfAlgebra(space, mul, unit, comul, counit, antipode,
                        name=f"boso({a.name},{h.name})")
 
 

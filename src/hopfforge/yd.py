@@ -13,14 +13,12 @@ pipeline; asking for its braiding abstractly raises NestingError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (CompatibilityFailed, DimensionMismatch, NestingError,
                      NonInvertibleBraiding)
 from .hopf import (HopfAlgebra, HopfMorphism, HopfProjection, VectBraiding,
                    adjoint_action, check_hopf)
 from .linalg import (SCALAR, LinMap, Space, composite_map, flip, iso_map,
-                     left_unitor, right_unitor, tensor_space, try_inverse)
+                     left_unitor, tensor_space, try_inverse)
 from .report import Report
 
 
@@ -359,37 +357,13 @@ def check_braided_map(t: BraidedMap) -> Report:
     return rep
 
 
-@dataclass
-class SmashAlgebra:
-    """Just the algebra part of a smash product (no coalgebra upgrade)."""
-    space: Space
-    mul: LinMap
-    unit: LinMap
+def smash_product(h: HopfAlgebra, i, action: LinMap):
+    """The smash product algebra I #> H of an H-module algebra I.
 
-
-def _smash_mul(h: HopfAlgebra, ispace: Space, imul: LinMap, action: LinMap) -> LinMap:
-    H, I = h.space, ispace
-    dom = tensor_space(I, H, I, H)
-    return composite_map(dom, tensor_space(I, H), [
-        [I, h.comul, I, H],
-        [I, H, flip(H, I), H],
-        [I, action, h.mul],
-        [imul, H],
-    ])
-
-
-def smash_product(h: HopfAlgebra, i, action: LinMap, upgrade: str = "hopf"):
-    """The smash product I #> H for an H-module algebra I.
-
-    ``i`` needs .space/.mul/.unit, plus .comul/.counit/.antipode for the
-    Hopf upgrade (a HopfAlgebra or any algebra-and-coalgebra bundle works).
-
-    (u (x) x)(v (x) y) = sum u (x' |> v) (x) x'' y.  With ``upgrade='hopf'``
-    the tensor coproduct and the antipode (1 (x) S(x))(S(u) (x) 1) are
-    attached, which requires I to be a module coalgebra satisfying the
-    symmetry sum x' (x) (x'' |> v) == sum x'' (x) (x' |> v), and I itself to
-    be an honest Hopf algebra; the assembled result is re-verified and any
-    violation raises CompatibilityFailed naming the offending law.
+    ``i`` needs .space/.mul/.unit.  Returns (space, mul, unit) with
+    (u (x) x)(v (x) y) = sum u (x' |> v) (x) x'' y, after checking that
+    ``action`` makes I an H-module algebra; a violation raises
+    CompatibilityFailed naming the offending law.
     """
     H, I = h.space, i.space
     hv = tensor_space(H, I)
@@ -422,43 +396,13 @@ def smash_product(h: HopfAlgebra, i, action: LinMap, upgrade: str = "hopf"):
                           h.counit, i.unit]))
 
     space = tensor_space(I, H)
-    mul = _smash_mul(h, I, i.mul, action)
+    mul = composite_map(tensor_space(I, H, I, H), space, [
+        [I, h.comul, I, H],
+        [I, H, flip(H, I), H],
+        [I, action, h.mul],
+        [i.mul, H],
+    ])
     unit = composite_map(SCALAR, space,
                          [iso_map(SCALAR, tensor_space(SCALAR, SCALAR)),
                           [i.unit, h.unit]])
-    if upgrade == "algebra":
-        return SmashAlgebra(space, mul, unit)
-    if upgrade != "hopf":
-        raise ValueError("upgrade must be 'algebra' or 'hopf'")
-
-    demand("module-coalgebra-comul",
-           composite_map(hv, tensor_space(I, I), [action, i.comul]),
-           composite_map(hv, tensor_space(I, I),
-                         [[h.comul, i.comul], [H, flip(H, I), I],
-                          [action, action]]))
-    demand("module-coalgebra-counit",
-           composite_map(hv, SCALAR, [action, i.counit]),
-           composite_map(hv, SCALAR,
-                         [[h.counit, i.counit],
-                          iso_map(tensor_space(SCALAR, SCALAR), SCALAR)]))
-    demand("action-comul-symmetry",
-           composite_map(hv, hv, [[h.comul, I], [H, action]]),
-           composite_map(hv, hv, [[flip(H, H) @ h.comul, I], [H, action]]))
-
-    comul = composite_map(space, tensor_space(space, space),
-                          [[i.comul, h.comul], [I, flip(I, H), H]])
-    counit = composite_map(space, SCALAR,
-                           [[i.counit, h.counit],
-                            iso_map(tensor_space(SCALAR, SCALAR), SCALAR)])
-    into_i = composite_map(I, space, [right_unitor(I), [I, h.unit]])
-    into_h = composite_map(H, space, [left_unitor(H), [i.unit, H]])
-    antipode = composite_map(space, space, [
-        flip(I, H), [h.antipode, i.antipode], [into_h, into_i], mul])
-    out = HopfAlgebra(space, mul, unit, comul, counit, antipode,
-                      name=f"{getattr(i, 'name', 'I')}#{h.name}")
-    rep = check_hopf(out)
-    if not rep.ok:
-        raise CompatibilityFailed(
-            f"smash Hopf upgrade fails {rep.failed()[0].name} "
-            "(is the module factor itself a Hopf algebra?)")
-    return out
+    return space, mul, unit

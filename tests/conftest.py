@@ -6,7 +6,7 @@ entrywise identical, never approximately so.
 
 import pytest
 
-from hopfforge import fixtures
+from hopfforge import fixtures, io
 from hopfforge.hopf import group_algebra, sweedler_algebra
 from hopfforge.linalg import LinMap, Space, solve, tensor_space
 from hopfforge.radford import induced_braided_hopf
@@ -37,6 +37,17 @@ def convolution_antipode(h) -> LinMap:
     assert x is not None, "identity is not convolution invertible"
     entries = {(k // n, k % n): val for k, _, val in x.items()}
     return LinMap.from_entries(h.space, h.space, entries)
+
+
+#: an antipode for the Sweedler algebra that kills x and gx, so singular
+SINGULAR_ANTIPODE = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+def singular_antipode_doc() -> dict:
+    """The Sweedler algebra document with SINGULAR_ANTIPODE swapped in."""
+    doc = io.serialize(fixtures.builtin_raw("sweedler"))
+    doc["antipode"] = SINGULAR_ANTIPODE
+    return doc
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from conftest import singular_antipode_doc
 from hopfforge import __version__, cli, fixtures, io
 from hopfforge.errors import NestingError
 
@@ -84,6 +85,8 @@ def test_json_failure_report_carries_witness(capsys, corrupted_path):
     ["check-yd", "--builtin", "nerve-c2-id"],           # needs --level
     ["pipeline", "--builtin", "nerve-s3-id"],           # needs --allow-large
     ["rker", "--builtin", "nerve-c2-id", "--level", "9"],
+    ["moore-oracle", "--builtin", "nerve-s3-id"],       # needs --allow-large
+    ["linearize", "--builtin", "s3", "--json"],         # matrix too large
 ])
 def test_usage_errors_exit_two(capsys, argv):
     assert cli.main(argv) == 2
@@ -123,6 +126,13 @@ def test_bad_projection_document_exits_one(tmp_path, capsys):
     f.write_text(io.dump_json(doc))
     assert cli.main(["rker", "--input", str(f)]) == 1
     capsys.readouterr()
+
+
+def test_singular_antipode_document_exits_one(tmp_path, capsys):
+    f = tmp_path / "singular.json"
+    f.write_text(io.dump_json(singular_antipode_doc()))
+    assert cli.main(["check-hopf", "--input", str(f)]) == 1
+    assert "antipode matrix is singular" in capsys.readouterr().err
 
 
 # -- exit code 3: internal errors ----------------------------------------------

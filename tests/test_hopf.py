@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import convolution_antipode
+from conftest import SINGULAR_ANTIPODE, convolution_antipode
 from hopfforge import fixtures
 from hopfforge.errors import (DimensionCapExceeded, InvalidGroup,
-                              NotAProjection)
-from hopfforge.hopf import (GroupTable, HopfMorphism, HopfProjection,
+                              NonInvertibleAntipode, NotAProjection)
+from hopfforge.hopf import (GroupTable, HopfAlgebra, HopfMorphism,
+                            HopfProjection,
                             check_cocommutative, check_group_hom, check_hopf,
                             check_morphism, cyclic_group, group_algebra,
                             linearize_group_hom, s3_sign_indices,
@@ -192,6 +193,13 @@ def test_bad_projection_rejected(sweedler, kc2):
                             [[1, 0], [0, 0], [0, 0], [0, 1]])
     with pytest.raises(NotAProjection):
         HopfProjection(sweedler, kc2, proj, incl)
+
+
+def test_singular_antipode_rejected(sweedler):
+    s = sweedler
+    singular = LinMap.from_rows(s.space, s.space, SINGULAR_ANTIPODE)
+    with pytest.raises(NonInvertibleAntipode):
+        HopfAlgebra(s.space, s.mul, s.unit, s.comul, s.counit, singular)
 
 
 # -- dimension cap ---------------------------------------------------------

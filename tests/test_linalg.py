@@ -56,23 +56,17 @@ def test_rat_refuses_floats():
         rat(0.5)
 
 
-# -- construction and storage -------------------------------------------
-
-
-def test_dense_and_sparse_agree():
-    dom, cod = Space(["a", "b"]), Space(["p", "q", "r"])
-    rows = [[1, 0], [Fraction(1, 2), -3], [0, 0]]
-    m = LinMap.from_rows(dom, cod, rows)
-    assert m == m.with_storage("dense")
-    assert m == m.with_storage("sparse")
-    assert m.with_storage("dense").to_rows() == m.with_storage("sparse").to_rows()
+# -- construction --------------------------------------------------------
 
 
 def test_from_entries_matches_from_rows():
     dom, cod = Space(["a", "b"]), Space(["p", "q"])
-    m1 = LinMap.from_rows(dom, cod, [[1, 2], [0, Fraction(5, 3)]])
+    rows = [[1, 2], [0, Fraction(5, 3)]]
+    m1 = LinMap.from_rows(dom, cod, rows)
     m2 = LinMap.from_entries(dom, cod, {(0, 0): 1, (0, 1): 2, (1, 1): "5/3"})
     assert m1 == m2
+    assert m1.to_rows() == [[Fraction(1), Fraction(2)],
+                            [Fraction(0), Fraction(5, 3)]]
 
 
 def test_shape_mismatch_rejected():
