@@ -28,8 +28,7 @@ from .hopf import (GroupTable, HopfAlgebra, HopfMorphism, HopfProjection,
                    cyclic_group, group_algebra, linearize_group_hom, max_dim, semidirect_product,
                    sweedler_algebra, symmetric_group_3, s3_sign_indices,
                    trivial_group, zero_morphism)
-from .yd import (BraidedHopfAlgebra, BraidedMap, YDCategory, YDModule,
-                 braided_adjoint_action, check_braided_hopf,
+from .yd import (BraidedHopfAlgebra, BraidedMap, YDModule, check_braided_hopf,
                  check_braided_map, check_yd, projection_yd,
                  pushforward_braided, self_yd_module, smash_product,
                  trivial_yd, yd_braiding, yd_pushforward, yd_tensor)

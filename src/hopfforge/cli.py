@@ -31,7 +31,7 @@ from .report import Report
 from .simplicial import (GroupCrossedModule, TruncatedSimplicialHopf,
                          check_fg_commutation, dim2_pipeline, extract_xmod,
                          identity_crossed_module, level3_restriction_probe,
-                         linearize, moore_group_oracle,
+                         level_projection, linearize, moore_group_oracle,
                          nerve_of_crossed_module, peiffer_pairing,
                          verify_simplicial)
 
@@ -112,18 +112,9 @@ def _projection_or_level(args):
         if args.level is None:
             raise UsageError("a simplicial input needs --level N "
                              "(and optionally --face J / --degeneracy K)")
-        t = obj
-        n, j = args.level, args.face if args.face is not None else 0
+        j = args.face if args.face is not None else 0
         k = args.degeneracy if args.degeneracy is not None else max(j - 1, 0)
-        if not 1 <= n <= t.depth:
-            raise UsageError(f"--level must be in 1..{t.depth}")
-        if not 0 <= j <= n:
-            raise UsageError(f"--face must be in 0..{n}")
-        if not 0 <= k <= n - 1:
-            raise UsageError(f"--degeneracy must be in 0..{n - 1}")
-        return HopfProjection(t.levels[n], t.levels[n - 1],
-                              t.faces[n][j].lin, t.degens[n - 1][k].lin,
-                              name=f"(d{j},s{k})@{n}")
+        return level_projection(obj, args.level, j, k)
     return _as_projection(obj)
 
 

@@ -1,11 +1,11 @@
 """Hopf algebras as structure-constant tensors, plus finite groups.
 
 A HopfAlgebra is five LinMaps (mul, unit, comul, counit, antipode) over a
-labelled space.  The axiom checker is parameterised by the ambient braided
-category: in Vect the braiding is the flip, and the identical code verifies
-braided Hopf algebras once the Yetter-Drinfeld braiding is supplied instead
-(see the yd module).  Checks never assume the laws hold -- they report the
-first failing entry as a witness.
+labelled space.  The axiom checker reads the braiding of the bialgebra
+compatibility law from ``self_braiding()``: the flip for a HopfAlgebra,
+the Yetter-Drinfeld braiding R' for a BraidedHopfAlgebra (see the yd
+module), so the same code verifies both.  Checks never assume the laws
+hold -- they report the first failing entry as a witness.
 """
 
 from __future__ import annotations
@@ -35,43 +35,23 @@ def max_dim() -> int:
         raise DimensionCapExceeded(f"{_ENV_CAP} must be an integer, got {raw!r}")
 
 
-def _check_cap(dim: int, what: str):
+def check_cap(dim: int, what: str):
+    """DimensionCapExceeded (exit 2) when ``what`` would exceed max_dim()."""
     cap = max_dim()
     if dim > cap:
         raise DimensionCapExceeded(
             f"{what} has dimension {dim} > {_ENV_CAP}={cap}")
 
 
-class VectBraiding:
-    """The symmetric monoidal structure of Vect: objects are Spaces."""
-
-    depth = 0
-
-    def braiding(self, v: Space, w: Space) -> LinMap:
-        return flip(v, w)
-
-    def space_of(self, obj: Space) -> Space:
-        return obj
-
-    def __repr__(self):
-        return "Vect"
-
-
-VECT = VectBraiding()
-
-
 class HopfAlgebra:
-    """Structure constants of a Hopf algebra in an ambient braided category.
+    """Structure constants of a Hopf algebra in Vect.
 
-    ``ambient`` supplies the braiding used in the bialgebra compatibility
-    law; ``obj`` is the carrier as an object of that category (for Vect it
-    is just the space).  A singular antipode is rejected outright.
+    A singular antipode is rejected outright.
     """
 
     def __init__(self, space: Space, mul: LinMap, unit: LinMap, comul: LinMap,
-                 counit: LinMap, antipode: LinMap, *, ambient=VECT, obj=None,
-                 name: str = "H"):
-        _check_cap(space.dim, name)
+                 counit: LinMap, antipode: LinMap, *, name: str = "H"):
+        check_cap(space.dim, name)
         sq = tensor_space(space, space)
         shapes = [
             ("mul", mul, sq, space),
@@ -91,8 +71,6 @@ class HopfAlgebra:
         self.comul = comul
         self.counit = counit
         self.antipode = antipode
-        self.ambient = ambient
-        self.obj = space if obj is None else obj
         self.name = name
         if rank(antipode) != space.dim:
             raise NonInvertibleAntipode(f"{name}: antipode matrix is singular")
@@ -101,21 +79,16 @@ class HopfAlgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def id_map(self) -> LinMap:
-        return LinMap.identity(self.space)
-
     def self_braiding(self) -> LinMap:
-        return self.ambient.braiding(self.obj, self.obj)
-
-    def unit_vector(self) -> dict:
-        return self.unit.column(0)
+        """The braiding of the carrier with itself: the flip in Vect."""
+        return flip(self.space, self.space)
 
     def __repr__(self):
         return f"HopfAlgebra({self.name}, dim={self.dim})"
 
 
 def check_hopf(h: HopfAlgebra) -> Report:
-    """All Hopf axioms, in the ambient braiding.
+    """All Hopf axioms, with ``h.self_braiding()`` in the compatibility law.
 
     Includes a non-fatal cocommutativity info line.  Cost grows with dim^3
     (associativity quantifies over H^3), so this is meant for moderate
@@ -245,7 +218,9 @@ class HopfProjection:
 def adjoint_action(h: HopfAlgebra) -> LinMap:
     """The adjoint action of h on itself: a |> b = sum a' b S(a'').
 
-    On a group algebra it sends g (x) x to g x g^{-1}.
+    On a group algebra it sends g (x) x to g x g^{-1}.  On a
+    BraidedHopfAlgebra the braiding is R', which makes this the braided
+    adjoint action.
     """
     S = h.space
     R = h.self_braiding()

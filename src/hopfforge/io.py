@@ -34,8 +34,8 @@ import json
 from .errors import ParseError, SchemaError
 from .linalg import LinMap, SCALAR, Space, tensor_space
 from .hopf import (GroupTable, HopfAlgebra, HopfMorphism, HopfProjection,
-                   group_algebra)
-from .yd import YDModule
+                   check_cap, group_algebra)
+from .yd import BraidedHopfAlgebra, YDModule
 from .simplicial import GroupCrossedModule, TruncatedSimplicialHopf
 
 
@@ -208,6 +208,7 @@ def _builtin(name, path: str):
 def yd_from_json(doc: dict, path: str = "$") -> YDModule:
     over = _hopf_ref(_field(doc, "over", path), f"{path}.over")
     n = _int_field(doc, "dim", path)
+    check_cap(n, f"{path}.dim")
     space = Space([f"v{k}" for k in range(n)])
     hv = tensor_space(over.space, space)
     return YDModule(over, space,
@@ -239,6 +240,11 @@ def crossed_module_from_json(doc: dict, path: str = "$") -> GroupCrossedModule:
     return GroupCrossedModule(m, n, boundary, act, name="X")
 
 
+def _check_arity(mats, n: int, path: str):
+    if not isinstance(mats, list) or len(mats) != n:
+        raise SchemaError(f"{path}: expected a list of {n} matrices")
+
+
 def simplicial_from_json(doc: dict, path: str = "$") -> TruncatedSimplicialHopf:
     levels_doc = _field(doc, "levels", path)
     if not isinstance(levels_doc, list) or len(levels_doc) < 2:
@@ -254,8 +260,7 @@ def simplicial_from_json(doc: dict, path: str = "$") -> TruncatedSimplicialHopf:
                 f"{path}.{key}: expected one (possibly empty) list per level")
     faces, degens = [], []
     for n, fs in enumerate(faces_doc):
-        if not isinstance(fs, list):
-            raise SchemaError(f"{path}.faces[{n}]: expected a list of matrices")
+        _check_arity(fs, n + 1 if n else 0, f"{path}.faces[{n}]")
         row = []
         for i, mat in enumerate(fs):
             lin = _matrix_rows(mat, levels[n].space, levels[n - 1].space,
@@ -264,9 +269,8 @@ def simplicial_from_json(doc: dict, path: str = "$") -> TruncatedSimplicialHopf:
                                     name=f"d{i}@{n}"))
         faces.append(row)
     for n, ss in enumerate(degens_doc):
-        if not isinstance(ss, list):
-            raise SchemaError(
-                f"{path}.degeneracies[{n}]: expected a list of matrices")
+        _check_arity(ss, n + 1 if n < depth else 0,
+                     f"{path}.degeneracies[{n}]")
         row = []
         for j, mat in enumerate(ss):
             lin = _matrix_rows(mat, levels[n].space, levels[n + 1].space,
@@ -347,26 +351,22 @@ def simplicial_to_json(t: TruncatedSimplicialHopf) -> dict:
 
 
 _SERIALIZERS = (
-    (HopfAlgebra, "hopf", hopf_to_json),
-    (GroupTable, "group", group_to_json),
-    (YDModule, "yd_module", yd_to_json),
-    (HopfProjection, "projection", projection_to_json),
-    (GroupCrossedModule, "crossed_module", crossed_module_to_json),
-    (TruncatedSimplicialHopf, "simplicial", simplicial_to_json),
+    (HopfAlgebra, hopf_to_json),
+    (GroupTable, group_to_json),
+    (YDModule, yd_to_json),
+    (HopfProjection, projection_to_json),
+    (GroupCrossedModule, crossed_module_to_json),
+    (TruncatedSimplicialHopf, simplicial_to_json),
 )
 
 
 def serialize(obj) -> dict:
-    for cls, _, fn in _SERIALIZERS:
-        if isinstance(obj, cls):
-            return fn(obj)
-    raise SchemaError(f"no JSON form for {type(obj).__name__}")
-
-
-def kind_of(obj) -> str:
-    for cls, kind, _ in _SERIALIZERS:
-        if isinstance(obj, cls):
-            return kind
+    # A hopf document has no slot for R', so a braided algebra written
+    # as one would read back as a different (Vect) Hopf algebra.
+    if not isinstance(obj, BraidedHopfAlgebra):
+        for cls, fn in _SERIALIZERS:
+            if isinstance(obj, cls):
+                return fn(obj)
     raise SchemaError(f"no JSON form for {type(obj).__name__}")
 
 

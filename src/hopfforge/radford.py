@@ -11,6 +11,11 @@ coproduct and antipode are replaced by
 where f = mul.(id (x) i par S).comul and g = mul.(i par (x) S).comul are
 the kernel generator maps.  Bosonisation then rebuilds an ordinary Hopf
 algebra B (x)^ H, and Psi/Phi exhibit I ~ B (x)^ H.
+
+The kernel, the generators and the kernel structure (right_kernel,
+generator_maps, checked_generators, kernel_structure) take any
+HopfAlgebra, braided ones included: the simplicial tower runs the same
+construction a second time on a braided split pair.
 """
 
 from __future__ import annotations
@@ -26,6 +31,18 @@ from .report import Report
 from .yd import (BraidedHopfAlgebra, YDModule, projection_yd, smash_product)
 
 
+def right_kernel(a: HopfAlgebra, proj: LinMap, unit: LinMap) -> Subspace:
+    """The equalizer {v : sum v' (x) proj(v'') = v (x) 1} of a split pair.
+
+    ``unit`` is the unit of the target of ``proj``.  In Vect this is RKer;
+    with a braided ``a`` it is the nested kernel of a braided split pair.
+    """
+    A, C = a.space, proj.cod
+    lhs = composite_map(A, tensor_space(A, C), [a.comul, [A, proj]])
+    rhs = composite_map(A, tensor_space(A, C), [right_unitor(A), [A, unit]])
+    return kernel_basis(lhs - rhs)
+
+
 def rker(omega: HopfMorphism, side: str = "right") -> Subspace:
     """The right/left/categorical kernel of a Hopf algebra morphism.
 
@@ -39,10 +56,8 @@ def rker(omega: HopfMorphism, side: str = "right") -> Subspace:
     i, h, f = omega.src, omega.dst, omega.lin
     I, H = i.space, h.space
     if side == "right":
-        lhs = composite_map(I, tensor_space(I, H), [i.comul, [I, f]])
-        rhs = composite_map(I, tensor_space(I, H),
-                            [right_unitor(I), [I, h.unit]])
-    elif side == "left":
+        return right_kernel(i, f, h.unit)
+    if side == "left":
         lhs = composite_map(I, tensor_space(H, I), [i.comul, [f, I]])
         rhs = composite_map(I, tensor_space(H, I),
                             [left_unitor(I), [h.unit, I]])
@@ -62,6 +77,31 @@ def kernel_sides_agree(omega: HopfMorphism) -> bool:
     return r.equals(rker(omega, "left")) and r.equals(rker(omega, "categorical"))
 
 
+def generator_maps(a: HopfAlgebra, ipar: LinMap):
+    """f = mul.(id (x) ipar S).comul and g = mul.(ipar (x) S).comul on a,
+    where ipar = i.par is the idempotent of a split pair on a."""
+    A = a.space
+    f = composite_map(A, A, [a.comul, [A, ipar @ a.antipode], a.mul])
+    g = composite_map(A, A, [a.comul, [ipar, a.antipode], a.mul])
+    return f, g
+
+
+def checked_generators(a: HopfAlgebra, ipar: LinMap, what: str):
+    """f and g of generator_maps, after checking f.f == f, g.f == g and
+    sum f(v') ipar(v'') == v; ClosureFailure, prefixed by ``what``, names
+    the first identity that fails."""
+    f, g = generator_maps(a, ipar)
+    A = a.space
+    if (f @ f) != f:
+        raise ClosureFailure(f"{what}: f is not idempotent")
+    if (g @ f) != g:
+        raise ClosureFailure(f"{what}: g.f != g")
+    recon = composite_map(A, A, [a.comul, [f, ipar], a.mul])
+    if recon != LinMap.identity(A):
+        raise ClosureFailure(f"{what}: sum f(v')i(par(v'')) != v")
+    return f, g
+
+
 @dataclass
 class KernelGenerators:
     """f = mul.(id (x) i par S).comul and g = mul.(i par (x) S).comul on I."""
@@ -72,20 +112,31 @@ class KernelGenerators:
 def kernel_generators(p: HopfProjection) -> KernelGenerators:
     """The two generator maps, with their algebraic identities verified:
     f.f == f, g.f == g, and sum f(v') i(par(v'')) == v."""
-    i = p.big
-    I = i.space
-    ipar = p.incl.lin @ p.proj.lin
-    f = composite_map(I, I, [i.comul, [I, ipar @ i.antipode], i.mul])
-    g = composite_map(I, I, [i.comul, [ipar, i.antipode], i.mul])
-    sq = tensor_space(I, I)
-    if (f @ f) != f:
-        raise ClosureFailure(f"{p.name}: f is not idempotent")
-    if (g @ f) != g:
-        raise ClosureFailure(f"{p.name}: g.f != g")
-    recon = composite_map(I, I, [i.comul, [f, ipar], i.mul])
-    if recon != LinMap.identity(I):
-        raise ClosureFailure(f"{p.name}: sum f(v')i(par(v'')) != v")
+    f, g = checked_generators(p.big, p.incl.lin @ p.proj.lin, p.name)
     return KernelGenerators(f, g)
+
+
+def kernel_structure(a: HopfAlgebra, sub: Subspace, f: LinMap, proj: LinMap,
+                     name: str):
+    """The product, the coproduct (f (x) id).comul and the coaction
+    (proj (x) id).comul of ``a``, restricted to the kernel ``sub`` of the
+    split pair with generator f and projection ``proj``.
+
+    Each is a corestriction, so a map that escapes the kernel raises
+    ClosureFailure naming it ("mul on <name>", "comul on <name>", ...).
+    """
+    K, A, C = sub.space, a.space, proj.cod
+    incl = sub.inclusion
+    mul = sub.corestrict(
+        composite_map(tensor_space(K, K), A, [[incl, incl], a.mul]),
+        what=f"mul on {name}")
+    comul = tensor_subspace(sub, sub).corestrict(
+        composite_map(K, tensor_space(A, A), [incl, a.comul, [f, A]]),
+        what=f"comul on {name}")
+    coaction = tensor_subspace(full_subspace(C), sub).corestrict(
+        composite_map(K, tensor_space(C, A), [incl, a.comul, [proj, A]]),
+        what=f"coaction on {name}")
+    return mul, comul, coaction
 
 
 @dataclass
@@ -96,7 +147,6 @@ class RKerResult:
     braided: BraidedHopfAlgebra
     generators: KernelGenerators
     f_cor: LinMap   # f corestricted, I -> B
-    g_cor: LinMap   # g corestricted, I -> B
 
 
 def induced_braided_hopf(p: HopfProjection, name: str = None) -> RKerResult:
@@ -109,33 +159,21 @@ def induced_braided_hopf(p: HopfProjection, name: str = None) -> RKerResult:
     """
     name = name or f"RKer({p.proj.name})"
     big, small = p.big, p.small
-    I, H = big.space, small.space
     b = rker(p.proj, "right")
     gen = kernel_generators(p)
     incl = b.inclusion
-
     f_cor = b.corestrict(gen.f, what="f")
-    g_cor = b.corestrict(gen.g, what="g")
-
-    mul = b.corestrict(big.mul @ incl.tensor(incl), what="mul")
+    mul, comul, coaction = kernel_structure(big, b, gen.f, p.proj.lin, name)
     unit = b.corestrict(big.unit, what="unit")
     counit = big.counit @ incl
-    bb = tensor_subspace(b, b)
-    comul_on_i = composite_map(I, tensor_space(I, I),
-                               [big.comul, [gen.f, I]])
-    comul = bb.corestrict(comul_on_i @ incl, what="comul")
     antipode = b.corestrict(gen.g @ incl, what="antipode")
-
-    ydi = projection_yd(p)
     action = b.corestrict(
-        ydi.action @ LinMap.identity(H).tensor(incl), what="action")
-    hb = tensor_subspace(full_subspace(H), b)
-    coaction = hb.corestrict(ydi.coaction @ incl, what="coaction")
+        projection_yd(p).action @ LinMap.identity(small.space).tensor(incl),
+        what="action")
     carrier = YDModule(small, b.space, action, coaction, name=name)
-
     braided = BraidedHopfAlgebra(carrier, mul, unit, comul, counit, antipode,
                                  name=name)
-    return RKerResult(b, braided, gen, f_cor, g_cor)
+    return RKerResult(b, braided, gen, f_cor)
 
 
 def bosonisation(a: BraidedHopfAlgebra) -> HopfAlgebra:

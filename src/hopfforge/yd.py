@@ -3,20 +3,21 @@
 A YD module over H carries an action H (x) V -> V and a coaction
 V -> H (x) V tied together by the compatibility square.  The category
 YD(H) is braided: R'(v (x) w) = sum (v_H |> w) (x) v_V, and a braided Hopf
-algebra is a Hopf algebra object there -- the generic axiom checker of the
-hopf module is reused with R' as the ambient braiding.
+algebra is a Hopf algebra object there.  BraidedHopfAlgebra is a
+HopfAlgebra whose ``self_braiding()`` is R', so the axiom checker and the
+adjoint action of the hopf module run on it unchanged.
 
-Only one level of nesting is supported beyond Vect.  The level-2 world
-(YD over a braided Hopf algebra) is handled concretely by the simplicial
-pipeline; asking for its braiding abstractly raises NestingError.
+Only one level of nesting is supported beyond Vect: a YD module or a
+braided Hopf algebra over a BraidedHopfAlgebra raises NestingError.  The
+level-2 world is handled concretely by the simplicial pipeline.
 """
 
 from __future__ import annotations
 
 from .errors import (CompatibilityFailed, DimensionMismatch, NestingError,
                      NonInvertibleBraiding)
-from .hopf import (HopfAlgebra, HopfMorphism, HopfProjection, VectBraiding,
-                   adjoint_action, check_hopf)
+from .hopf import (HopfAlgebra, HopfMorphism, HopfProjection, adjoint_action,
+                   check_hopf)
 from .linalg import (SCALAR, LinMap, Space, composite_map, flip, iso_map,
                      left_unitor, tensor_space, try_inverse)
 from .report import Report
@@ -46,41 +47,15 @@ class YDModule:
         return f"YDModule({self.name} over {self.over.name}, dim={self.dim})"
 
 
-class YDCategory:
-    """Braiding provider for YD(H); objects are YDModule instances."""
-
-    def __init__(self, base: HopfAlgebra):
-        self.depth = base.ambient.depth + 1
-        if self.depth > 2:
-            raise NestingError(
-                "Yetter-Drinfeld nesting beyond one braided level is not "
-                "supported: only a single biproduct iteration is possible")
-        self.base = base
-
-    def braiding(self, v, w) -> LinMap:
-        if not isinstance(v, YDModule) or not isinstance(w, YDModule):
-            raise NestingError(
-                "braiding at this nesting level needs the modules' underlying "
-                "structures; deeper iteration is not supported")
-        return yd_braiding(v, w)
-
-    def space_of(self, obj) -> Space:
-        return obj.space
-
-    def __repr__(self):
-        return f"YD({self.base.name})"
-
-
 def check_yd(v: YDModule) -> Report:
     """Module + comodule laws and the Yetter-Drinfeld compatibility square."""
     h = v.over
+    if isinstance(h, BraidedHopfAlgebra):
+        raise NestingError("check_yd on nested modules is not supported")
     rep = Report(f"check-yd {v.name}")
     H, V = h.space, v.space
     rho, phi = v.action, v.coaction
-    amb = h.ambient
-    if not isinstance(amb, VectBraiding):
-        raise NestingError("check_yd on nested modules is not supported")
-    R_HH = amb.braiding(h.obj, h.obj)
+    R_HH = flip(H, H)
     R_HV = flip(H, V)
     R_VH = flip(V, H)
     hv = tensor_space(H, V)
@@ -193,35 +168,27 @@ def yd_pushforward(p: HopfProjection, b: YDModule, name=None) -> YDModule:
                     name=name or f"{b.name}^")
 
 
-class BraidedHopfAlgebra:
-    """A Hopf algebra object of YD(H): carrier module + five structure maps."""
+class BraidedHopfAlgebra(HopfAlgebra):
+    """A Hopf algebra object of YD(H): carrier module + five structure maps.
+
+    The base H must be an ordinary Hopf algebra; a braided base would need
+    the braiding of YD over YD(H), which is not supported (NestingError).
+    """
 
     def __init__(self, carrier: YDModule, mul, unit, comul, counit, antipode,
                  name: str = "A"):
+        if isinstance(carrier.over, BraidedHopfAlgebra):
+            raise NestingError(
+                "Yetter-Drinfeld nesting beyond one braided level is not "
+                "supported: only a single biproduct iteration is possible")
         self.carrier = carrier
         self.over = carrier.over
-        self.name = name
-        # The view as a plain HopfAlgebra with YD(H) as ambient category:
-        # the generic axiom code then inserts R' automatically.
-        self._view = HopfAlgebra(
-            carrier.space, mul, unit, comul, counit, antipode,
-            ambient=YDCategory(carrier.over), obj=carrier, name=name)
-        self.mul = mul
-        self.unit = unit
-        self.comul = comul
-        self.counit = counit
-        self.antipode = antipode
-        self.space = carrier.space
-
-    def as_hopf_view(self) -> HopfAlgebra:
-        return self._view
+        super().__init__(carrier.space, mul, unit, comul, counit, antipode,
+                         name=name)
 
     def self_braiding(self) -> LinMap:
+        """R' of the carrier with itself."""
         return yd_braiding(self.carrier, self.carrier)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
 
     def __repr__(self):
         return f"BraidedHopfAlgebra({self.name} in YD({self.over.name}))"
@@ -247,7 +214,7 @@ def check_braided_hopf(a: BraidedHopfAlgebra) -> Report:
         return rep
 
     # Hopf laws in YD(H) -- the compatibility square twists by R'.
-    rep.extend(check_hopf(a.as_hopf_view()))
+    rep.extend(check_hopf(a))
 
     H, A = h.space, a.space
     rho, phi = a.carrier.action, a.carrier.coaction
@@ -293,16 +260,6 @@ def check_braided_hopf(a: BraidedHopfAlgebra) -> Report:
                                 iso_map(tensor_space(H, SCALAR), H)]),
                  h.unit @ counit)
     return rep
-
-
-def braided_adjoint_action(a: BraidedHopfAlgebra) -> LinMap:
-    """x |>_bad y = sum x_(1) ((x_(2))_H |> y) S(( x_(2))_A).
-
-    Diagrammatically identical to the plain adjoint action with Delta, S
-    and the braiding replaced by their braided versions, which is what the
-    generic composite computes on the YD(H) view.
-    """
-    return adjoint_action(a.as_hopf_view())
 
 
 def pushforward_braided(p: HopfProjection, a: BraidedHopfAlgebra,

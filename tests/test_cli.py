@@ -103,6 +103,38 @@ def test_bad_json_text_exits_two(tmp_path, capsys):
     assert "inexact" in err and "$.mul[0][0]" in err
 
 
+def _drop_level1_face(doc):
+    doc["faces"][1] = doc["faces"][1][:1]
+
+
+def _top_degeneracy(doc):
+    doc["degeneracies"][-1] = [doc["degeneracies"][-2][0]]
+
+
+def _level0_face(doc):
+    doc["faces"][0] = [doc["faces"][1][0]]
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (_drop_level1_face, "$.faces[1]"),
+    (_top_degeneracy, "$.degeneracies[3]"),
+    (_level0_face, "$.faces[0]"),
+])
+def test_wrong_simplicial_arity_exits_two(capsys, mutate, path):
+    doc = io.serialize(fixtures.builtin_raw("nerve-c2-trivial"))
+    mutate(doc)
+    argv = ["simplicial-check", "--input", io.dump_json(doc)]
+    assert cli.main(argv) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_huge_yd_module_dim_exits_two(capsys):
+    doc = {"over": {"builtin": "c2"}, "dim": 2 ** 40,
+           "action": [], "coaction": []}
+    assert cli.main(["check-yd", "--input", json.dumps(doc)]) == 2
+    assert "HOPFFORGE_MAX_DIM" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()

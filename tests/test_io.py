@@ -84,6 +84,12 @@ def test_simplicial_roundtrip(nerve_c2_id):
     assert [l.dim for l in t.levels] == [2, 4, 8, 16]
 
 
+def test_braided_algebra_has_no_json_form(quantum_line):
+    # written as a hopf document it would lose its braiding R'
+    with pytest.raises(SchemaError):
+        io.serialize(quantum_line.braided)
+
+
 def test_parse_definition_accepts_dict_text_and_path(tmp_path, sweedler):
     doc = io.serialize(sweedler)
     text = io.dump_json(doc)

@@ -10,11 +10,11 @@ from fractions import Fraction
 import pytest
 
 from hopfforge import fixtures
-from hopfforge.errors import NonInvertibleBraiding
-from hopfforge.hopf import adjoint_action, group_algebra
-from hopfforge.linalg import LinMap, tensor_map, try_inverse
-from hopfforge.yd import (YDModule, check_braided_hopf, check_yd,
-                          projection_yd, self_yd_module, trivial_yd,
+from hopfforge.errors import NestingError, NonInvertibleBraiding
+from hopfforge.hopf import HopfAlgebra, adjoint_action, group_algebra
+from hopfforge.linalg import LinMap, flip, tensor_map, try_inverse
+from hopfforge.yd import (BraidedHopfAlgebra, YDModule, check_braided_hopf,
+                          check_yd, projection_yd, self_yd_module, trivial_yd,
                           yd_braiding, yd_pushforward, yd_tensor)
 
 
@@ -85,6 +85,22 @@ def test_quantum_line_braiding_matrix(quantum_line):
 def test_quantum_line_is_braided_hopf(quantum_line):
     rep = check_braided_hopf(quantum_line.braided)
     assert rep.ok, rep.format_text()
+
+
+def test_braided_self_braiding_is_yd_braiding(quantum_line):
+    a = quantum_line.braided
+    assert isinstance(a, HopfAlgebra)
+    assert a.self_braiding() == yd_braiding(a.carrier, a.carrier)
+    assert a.self_braiding() != flip(a.space, a.space)
+
+
+def test_nesting_beyond_one_braided_level_refused(quantum_line):
+    a = quantum_line.braided
+    with pytest.raises(NestingError):
+        check_yd(trivial_yd(a))
+    with pytest.raises(NestingError):
+        BraidedHopfAlgebra(self_yd_module(a), a.mul, a.unit, a.comul,
+                           a.counit, a.antipode)
 
 
 def test_quantum_line_braided_antipode(quantum_line):
