@@ -215,17 +215,32 @@ class HopfProjection:
         return f"HopfProjection({self.big.name} -> {self.small.name})"
 
 
+def adjoint_stages(h: HopfAlgebra) -> list:
+    """The adjoint action a |> b = sum a' b S(a'') as composite_map stages
+    from H (x) H to H.
+
+    Radford's carrier action, the Peiffer pairing and the crossed-module
+    action keep only a restriction of it, to H' (x) B for a small H' and a
+    kernel B.  Such a caller puts its own inclusion stage in front and
+    evaluates the pipeline on the small domain: materialising the action
+    on all of H (x) H first and restricting afterwards would evaluate
+    dim(H)^2 columns to keep a few (46,656 to keep 216 at level 2 of the
+    S3 nerve).  The result is the same exact matrix either way.
+    """
+    S = h.space
+    return [[h.comul, S], [S, h.self_braiding()], [S, S, h.antipode],
+            [h.mul, S], h.mul]
+
+
 def adjoint_action(h: HopfAlgebra) -> LinMap:
-    """The adjoint action of h on itself: a |> b = sum a' b S(a'').
+    """The adjoint action of h on itself, on the whole of H (x) H.
 
     On a group algebra it sends g (x) x to g x g^{-1}.  On a
     BraidedHopfAlgebra the braiding is R', which makes this the braided
     adjoint action.
     """
     S = h.space
-    R = h.self_braiding()
-    return composite_map(tensor_space(S, S), S, [
-        [h.comul, S], [S, R], [S, S, h.antipode], [h.mul, S], h.mul])
+    return composite_map(tensor_space(S, S), S, adjoint_stages(h))
 
 
 # -- finite groups ----------------------------------------------------

@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClosureFailure, IsoFailure
-from .hopf import HopfAlgebra, HopfMorphism, HopfProjection, check_morphism
+from .hopf import (HopfAlgebra, HopfMorphism, HopfProjection, adjoint_stages,
+                   check_morphism)
 from .linalg import (SCALAR, LinMap, Subspace, composite_map, flip,
                      full_subspace, iso_map, kernel_basis, left_unitor,
                      right_unitor, tensor_space, tensor_subspace)
 from .report import Report
-from .yd import (BraidedHopfAlgebra, YDModule, projection_yd, smash_product)
+from .yd import BraidedHopfAlgebra, YDModule, smash_product
 
 
 def right_kernel(a: HopfAlgebra, proj: LinMap, unit: LinMap) -> Subspace:
@@ -168,7 +169,8 @@ def induced_braided_hopf(p: HopfProjection, name: str = None) -> RKerResult:
     counit = big.counit @ incl
     antipode = b.corestrict(gen.g @ incl, what="antipode")
     action = b.corestrict(
-        projection_yd(p).action @ LinMap.identity(small.space).tensor(incl),
+        composite_map(tensor_space(small.space, b.space), big.space,
+                      [[p.incl.lin, incl], *adjoint_stages(big)]),
         what="action")
     carrier = YDModule(small, b.space, action, coaction, name=name)
     braided = BraidedHopfAlgebra(carrier, mul, unit, comul, counit, antipode,

@@ -34,9 +34,9 @@ from .linalg import (LinMap, SCALAR, Subspace, composite_map, flip, iso_map,
                      tensor_space)
 from .report import Check, Report
 from .hopf import (GroupTable, HopfAlgebra, HopfMorphism, HopfProjection,
-                   adjoint_action, check_group_hom, check_morphism,
-                   conjugation_action, group_algebra, linearize_group_hom,
-                   semidirect_product)
+                   adjoint_action, adjoint_stages, check_group_hom,
+                   check_morphism, conjugation_action, group_algebra,
+                   linearize_group_hom, semidirect_product)
 from .yd import (BraidedHopfAlgebra, BraidedMap, check_braided_map, check_yd,
                  pushforward_braided)
 from .radford import (RKerResult, checked_generators, generator_maps,
@@ -658,7 +658,7 @@ def peiffer_pairing(t: TruncatedSimplicialHopf,
     dom = tensor_space(B, B)
     composite = composite_map(dom, h2.space, [
         [t.degens[1][0].lin @ incl1, t.degens[1][1].lin @ incl1],
-        adjoint_action(h2), pipe.a200.f_cor, pipe.a221.f,
+        *adjoint_stages(h2), pipe.a200.f_cor, pipe.a221.f,
         pipe.a200.subspace.inclusion])
     closed = _peiffer_closed_form(t, pipe)
     rep = Report(f"peiffer-pairing {t.name}")
@@ -715,7 +715,7 @@ def extract_xmod(t: TruncatedSimplicialHopf, pipe: PipelineResult = None):
     dom = tensor_space(H0, B)
     act = pipe.a100.subspace.corestrict(
         composite_map(dom, h1.space,
-                      [[t.degens[0][0].lin, incl], adjoint_action(h1)]),
+                      [[t.degens[0][0].lin, incl], *adjoint_stages(h1)]),
         what="H0 action on A1(0,0)")
     rep = Report(f"extract-xmod {t.name}")
     rep.equality("action-matches-carrier", act, a.carrier.action)
@@ -733,7 +733,7 @@ def extract_xmod(t: TruncatedSimplicialHopf, pipe: PipelineResult = None):
         "braided-adjoint-collapses", bad,
         pipe.a100.subspace.corestrict(
             composite_map(tensor_space(B, B), h1.space,
-                          [[incl, incl], adjoint_action(h1)]),
+                          [[incl, incl], *adjoint_stages(h1)]),
             what="restricted adjoint action"))
     rep.derived["dim_A100"] = B.dim
     rep.derived["dim_A200"] = pipe.a200.subspace.dim

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import (CompatibilityFailed, DimensionMismatch, NestingError,
                      NonInvertibleBraiding)
 from .hopf import (HopfAlgebra, HopfMorphism, HopfProjection, adjoint_action,
-                   check_hopf)
+                   adjoint_stages, check_hopf)
 from .linalg import (SCALAR, LinMap, Space, composite_map, flip, iso_map,
                      left_unitor, tensor_space, try_inverse)
 from .report import Report
@@ -142,9 +142,8 @@ def projection_yd(p: HopfProjection) -> YDModule:
     action  h (x) v |-> incl(h) |>_ad v, coaction v |-> sum proj(v') (x) v''.
     """
     big, small = p.big, p.small
-    ad = adjoint_action(big)
     action = composite_map(tensor_space(small.space, big.space), big.space,
-                           [[p.incl.lin, big.space], ad])
+                           [[p.incl.lin, big.space], *adjoint_stages(big)])
     coaction = composite_map(big.space, tensor_space(small.space, big.space),
                              [big.comul, [p.proj.lin, big.space]])
     return YDModule(small, big.space, action, coaction,
@@ -183,12 +182,17 @@ class BraidedHopfAlgebra(HopfAlgebra):
                 "supported: only a single biproduct iteration is possible")
         self.carrier = carrier
         self.over = carrier.over
+        self._rprime = None
         super().__init__(carrier.space, mul, unit, comul, counit, antipode,
                          name=name)
 
     def self_braiding(self) -> LinMap:
-        """R' of the carrier with itself."""
-        return yd_braiding(self.carrier, self.carrier)
+        """R' of the carrier with itself, built and checked invertible on
+        first use and kept; a singular one raises NonInvertibleBraiding
+        each time."""
+        if self._rprime is None:
+            self._rprime = yd_braiding(self.carrier, self.carrier)
+        return self._rprime
 
     def __repr__(self):
         return f"BraidedHopfAlgebra({self.name} in YD({self.over.name}))"
@@ -207,7 +211,7 @@ def check_braided_hopf(a: BraidedHopfAlgebra) -> Report:
     rep.extend(check_yd(a.carrier), prefix="carrier/")
 
     try:
-        rprime = a.self_braiding()
+        a.self_braiding()   # the R' that check_hopf and the rest reuse
         rep.add("braiding-invertible", True)
     except NonInvertibleBraiding:
         rep.add("braiding-invertible", False)

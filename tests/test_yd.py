@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfforge import fixtures
+from hopfforge import fixtures, yd
 from hopfforge.errors import NestingError, NonInvertibleBraiding
 from hopfforge.hopf import HopfAlgebra, adjoint_action, group_algebra
 from hopfforge.linalg import LinMap, flip, tensor_map, try_inverse
@@ -92,6 +92,38 @@ def test_braided_self_braiding_is_yd_braiding(quantum_line):
     assert isinstance(a, HopfAlgebra)
     assert a.self_braiding() == yd_braiding(a.carrier, a.carrier)
     assert a.self_braiding() != flip(a.space, a.space)
+
+
+def test_check_braided_hopf_builds_rprime_once(proj_sign_s3, monkeypatch):
+    from hopfforge.radford import induced_braided_hopf
+    a = induced_braided_hopf(proj_sign_s3).braided
+    calls = []
+    real = yd.yd_braiding
+
+    def counting(v, w, **kw):
+        calls.append(v.name)
+        return real(v, w, **kw)
+
+    monkeypatch.setattr(yd, "yd_braiding", counting)
+    rep = check_braided_hopf(a)
+    assert rep.ok, rep.format_text()
+    assert len(calls) == 1
+
+
+def test_singular_rprime_stops_check_braided_hopf(quantum_line):
+    # a zero coaction makes R' = 0, which must end the check early
+    a = quantum_line.braided
+    c = a.carrier
+    zero = LinMap(c.space, c.coaction.cod, {})
+    carrier = YDModule(c.over, c.space, c.action, zero, name="zero-coaction")
+    bad = BraidedHopfAlgebra(carrier, a.mul, a.unit, a.comul, a.counit,
+                             a.antipode)
+    rep = check_braided_hopf(bad)
+    status = {ch.name: ch.status for ch in rep.checks}
+    assert status["braiding-invertible"] == "fail"
+    assert rep.checks[-1].name == "braiding-invertible"
+    with pytest.raises(NonInvertibleBraiding):
+        bad.self_braiding()
 
 
 def test_nesting_beyond_one_braided_level_refused(quantum_line):
