@@ -203,13 +203,12 @@ class HopfProjection:
         self.proj = HopfMorphism(big, small, proj, name=f"{name}.proj")
         self.incl = HopfMorphism(small, big, incl, name=f"{name}.incl")
         self.name = name
-        if (proj @ incl) != LinMap.identity(small.space):
-            raise NotAProjection(f"{name}: proj . incl != id")
+        rep = Report(name)
+        rep.equality("proj-incl-is-identity", proj @ incl,
+                     LinMap.identity(small.space))
         for leg in (self.proj, self.incl):
-            leg_rep = check_morphism(leg)
-            if not leg_rep.ok:
-                bad = leg_rep.failed()[0]
-                raise NotAProjection(f"{name}: {leg.name} fails {bad.name}")
+            rep.extend(check_morphism(leg), prefix=f"{leg.name}/")
+        rep.require(NotAProjection)
 
     def __repr__(self):
         return f"HopfProjection({self.big.name} -> {self.small.name})"

@@ -167,12 +167,7 @@ def group_from_json(doc: dict, path: str = "$", name: str = "G") -> GroupTable:
     if not isinstance(table, list) or len(table) != n:
         raise SchemaError(f"{path}.table: expected {n} rows")
     for i, r in enumerate(table):
-        if not isinstance(r, list) or len(r) != n:
-            raise SchemaError(f"{path}.table[{i}]: expected a row of {n} indices")
-        for j, x in enumerate(r):
-            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
-                raise SchemaError(
-                    f"{path}.table[{i}][{j}]: expected an index in 0..{n - 1}")
+        _index_list(r, n, n, f"{path}.table[{i}]")
     return GroupTable(labels, table, name=name)
 
 
@@ -240,11 +235,6 @@ def crossed_module_from_json(doc: dict, path: str = "$") -> GroupCrossedModule:
     return GroupCrossedModule(m, n, boundary, act, name="X")
 
 
-def _check_arity(mats, n: int, path: str):
-    if not isinstance(mats, list) or len(mats) != n:
-        raise SchemaError(f"{path}: expected a list of {n} matrices")
-
-
 def simplicial_from_json(doc: dict, path: str = "$") -> TruncatedSimplicialHopf:
     levels_doc = _field(doc, "levels", path)
     if not isinstance(levels_doc, list) or len(levels_doc) < 2:
@@ -252,33 +242,26 @@ def simplicial_from_json(doc: dict, path: str = "$") -> TruncatedSimplicialHopf:
     levels = [_hopf_ref(ld, f"{path}.levels[{k}]", name=f"H{k}")
               for k, ld in enumerate(levels_doc)]
     depth = len(levels) - 1
-    faces_doc = _field(doc, "faces", path)
-    degens_doc = _field(doc, "degeneracies", path)
-    for key, v in (("faces", faces_doc), ("degeneracies", degens_doc)):
-        if not isinstance(v, list) or len(v) != depth + 1:
+    maps = []   # [faces, degeneracies]
+    for key, sym, step in (("faces", "d", -1), ("degeneracies", "s", 1)):
+        rows = _field(doc, key, path)
+        if not isinstance(rows, list) or len(rows) != depth + 1:
             raise SchemaError(
                 f"{path}.{key}: expected one (possibly empty) list per level")
-    faces, degens = [], []
-    for n, fs in enumerate(faces_doc):
-        _check_arity(fs, n + 1 if n else 0, f"{path}.faces[{n}]")
-        row = []
-        for i, mat in enumerate(fs):
-            lin = _matrix_rows(mat, levels[n].space, levels[n - 1].space,
-                               f"{path}.faces[{n}][{i}]")
-            row.append(HopfMorphism(levels[n], levels[n - 1], lin,
-                                    name=f"d{i}@{n}"))
-        faces.append(row)
-    for n, ss in enumerate(degens_doc):
-        _check_arity(ss, n + 1 if n < depth else 0,
-                     f"{path}.degeneracies[{n}]")
-        row = []
-        for j, mat in enumerate(ss):
-            lin = _matrix_rows(mat, levels[n].space, levels[n + 1].space,
-                               f"{path}.degeneracies[{n}][{j}]")
-            row.append(HopfMorphism(levels[n], levels[n + 1], lin,
-                                    name=f"s{j}@{n}"))
-        degens.append(row)
-    return TruncatedSimplicialHopf(levels, faces, degens, name="H")
+        maps.append([])
+        for n, mats in enumerate(rows):
+            arity = n + 1 if 0 <= n + step <= depth else 0
+            if not isinstance(mats, list) or len(mats) != arity:
+                raise SchemaError(f"{path}.{key}[{n}]: expected a list of "
+                                  f"{arity} matrices")
+            row = []
+            for i, mat in enumerate(mats):
+                src, dst = levels[n], levels[n + step]
+                lin = _matrix_rows(mat, src.space, dst.space,
+                                   f"{path}.{key}[{n}][{i}]")
+                row.append(HopfMorphism(src, dst, lin, name=f"{sym}{i}@{n}"))
+            maps[-1].append(row)
+    return TruncatedSimplicialHopf(levels, *maps, name="H")
 
 
 # -- serializers --------------------------------------------------------
@@ -405,6 +388,13 @@ def detect_kind(doc: dict, path: str = "$") -> str:
         f"the keys {', '.join(k for k, _, _ in _KIND_KEYS)} or \"builtin\"")
 
 
+def builtin_reference(doc: dict):
+    """NAME if ``doc`` is a bare {"builtin": NAME} reference, else None."""
+    if "builtin" in doc and not any(k in doc for k, _, _ in _KIND_KEYS):
+        return doc["builtin"]
+    return None
+
+
 def parse_definition(source) -> DefinitionDocument:
     """Read and validate a definition from a path, JSON text, or dict."""
     if isinstance(source, dict):
@@ -422,13 +412,12 @@ def parse_definition(source) -> DefinitionDocument:
         except json.JSONDecodeError as e:
             raise ParseError(f"not valid JSON: {e}")
     kind = detect_kind(doc)
-    if "builtin" in doc and not any(k in doc for k, _, _ in _KIND_KEYS):
-        value = _builtin(doc["builtin"], "$")
-        return DefinitionDocument(kind, doc, value)
-    for key, k, builder in _KIND_KEYS:
-        if k == kind:
+    name = builtin_reference(doc)
+    if name is not None:
+        return DefinitionDocument(kind, doc, _builtin(name, "$"))
+    for key, _, builder in _KIND_KEYS:
+        if key in doc:
             return DefinitionDocument(kind, doc, builder(doc, "$"))
-    raise SchemaError(f"$: unsupported document kind {kind!r}")
 
 
 def dump_json(obj: dict) -> str:

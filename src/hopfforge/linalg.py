@@ -598,7 +598,8 @@ def try_inverse(m: LinMap):
     red = RowReducer.of_map(m)
     if red.rank != m.dom.dim:
         return None
-    return solve(m, LinMap.identity(m.cod))
+    return LinMap(m.cod, m.dom, {j: red.solve_vec({j: _ONE})
+                                 for j in range(m.dom.dim)})
 
 
 class Subspace:

@@ -4,6 +4,8 @@ A Report is a list of named checks plus a dict of derived values.  A check
 is 'pass', 'fail', or 'info' -- info lines (e.g. cocommutativity) never
 affect ``ok``.  Witnesses pin down the first basis vector on which the two
 sides of a law disagree, in (row, column, lhs, rhs) form.
+``Report.require`` turns the first failure of a law that a construction
+needs into the caller's exception, with its witness.
 """
 
 from __future__ import annotations
@@ -81,12 +83,18 @@ class Report:
         witness still lands in the check so callers can inspect it.
         """
         diff = lhs.first_difference(rhs)
-        if diff is None:
-            self.checks.append(Check(name, "info", None, "holds"))
-            return True
-        self.checks.append(Check(name, "info", _diff_witness(lhs, diff),
-                                 "fails"))
-        return False
+        witness = None if diff is None else _diff_witness(lhs, diff)
+        self.checks.append(Check(name, "info", witness,
+                                 "holds" if diff is None else "fails"))
+        return diff is None
+
+    def require(self, error: type):
+        """Raise ``error`` naming the title, the first failed check and its
+        witness; do nothing when every check passed."""
+        if not self.ok:
+            c = self.failed()[0]
+            where = f" at {_render_witness(c.witness)}" if c.witness else ""
+            raise error(f"{self.title}: {c.name} fails{where}")
 
     def extend(self, other: "Report", prefix: str = ""):
         for c in other.checks:
@@ -111,14 +119,11 @@ class Report:
         for c in self.checks:
             if c.status == "info":
                 line = f"INFO {c.name}: {c.detail}"
-                if c.witness:
-                    line += " @ " + _render_witness(c.witness)
-                lines.append(line)
-                continue
-            mark = "PASS" if c.status == "pass" else "FAIL"
-            line = f"{mark} {c.name}"
-            if c.detail:
-                line += f" ({c.detail})"
+            else:
+                mark = "PASS" if c.status == "pass" else "FAIL"
+                line = f"{mark} {c.name}"
+                if c.detail:
+                    line += f" ({c.detail})"
             if c.witness:
                 line += " @ " + _render_witness(c.witness)
             lines.append(line)

@@ -121,6 +121,28 @@ def identity_crossed_module(g: GroupTable) -> GroupCrossedModule:
                               conjugation_action(g), name=f"id[{g.name}]")
 
 
+def _check_tower_shape(levels, faces, degens, name: str, error: type, joins):
+    """Raise ``error`` unless levels 0..N (N >= 1) carry faces[n] = [d_0..d_n]
+    (none at n = 0) and degens[n] = [s_0..s_n] (none at the top), each map
+    passing ``joins(map, level n, level n -/+ 1)``; both tower classes."""
+    depth = len(levels) - 1
+    if depth < 1:
+        raise error(f"{name}: need at least levels 0 and 1")
+    if len(faces) != depth + 1 or len(degens) != depth + 1:
+        raise error(f"{name}: faces/degens must list every level")
+    if faces[0] or degens[depth]:
+        raise error(f"{name}: faces[0] and degens[top] must be empty")
+    for maps, what, sym, step, first in ((faces, "faces", "d", -1, 1),
+                                         (degens, "degeneracies", "s", 1, 0)):
+        for n in range(first, depth + first):
+            if len(maps[n]) != n + 1:
+                raise error(f"{name}: level {n} needs {n + 1} {what}")
+            for i, m in enumerate(maps[n]):
+                if not joins(m, levels[n], levels[n + step]):
+                    raise error(f"{name}: {sym}{i}@{n} is not a morphism "
+                                f"from level {n} to level {n + step}")
+
+
 class TruncatedSimplicialGroup:
     """Levels 0..N of a simplicial group: Cayley tables plus index maps.
 
@@ -135,35 +157,14 @@ class TruncatedSimplicialGroup:
     def __init__(self, levels, faces, degens, name: str = "G"):
         self.levels = list(levels)
         self.name = name
-        depth = len(self.levels) - 1
-        if depth < 1:
-            raise InvalidGroup(f"{name}: need at least levels 0 and 1")
-        if len(faces) != depth + 1 or len(degens) != depth + 1:
-            raise InvalidGroup(f"{name}: faces/degens must list every level")
         self.faces = [[np.asarray(a, dtype=np.int64) for a in fs]
                       for fs in faces]
         self.degens = [[np.asarray(a, dtype=np.int64) for a in ss]
                        for ss in degens]
-        if self.faces[0] or self.degens[depth]:
-            raise InvalidGroup(f"{name}: faces[0] and degens[top] must be empty")
-        for n in range(1, depth + 1):
-            if len(self.faces[n]) != n + 1:
-                raise InvalidGroup(f"{name}: level {n} needs {n + 1} faces")
-            for i, arr in enumerate(self.faces[n]):
-                if arr.shape != (self.levels[n].order,) or \
-                        not check_group_hom(self.levels[n],
-                                            self.levels[n - 1], arr):
-                    raise InvalidGroup(
-                        f"{name}: d{i}@{n} is not a homomorphism")
-        for n in range(depth):
-            if len(self.degens[n]) != n + 1:
-                raise InvalidGroup(f"{name}: level {n} needs {n + 1} degeneracies")
-            for j, arr in enumerate(self.degens[n]):
-                if arr.shape != (self.levels[n].order,) or \
-                        not check_group_hom(self.levels[n],
-                                            self.levels[n + 1], arr):
-                    raise InvalidGroup(
-                        f"{name}: s{j}@{n} is not a homomorphism")
+        _check_tower_shape(
+            self.levels, self.faces, self.degens, name, InvalidGroup,
+            lambda arr, src, dst: arr.shape == (src.order,) and
+            check_group_hom(src, dst, arr))
 
     @property
     def depth(self) -> int:
@@ -246,31 +247,11 @@ class TruncatedSimplicialHopf:
     def __init__(self, levels, faces, degens, name: str = "H"):
         self.levels = list(levels)
         self.name = name
-        depth = len(self.levels) - 1
-        if depth < 1:
-            raise DimensionMismatch(f"{name}: need at least levels 0 and 1")
-        if len(faces) != depth + 1 or len(degens) != depth + 1:
-            raise DimensionMismatch(f"{name}: faces/degens must list every level")
         self.faces = [list(fs) for fs in faces]
         self.degens = [list(ss) for ss in degens]
-        if self.faces[0] or self.degens[depth]:
-            raise DimensionMismatch(
-                f"{name}: faces[0] and degens[top] must be empty")
-        for n in range(1, depth + 1):
-            if len(self.faces[n]) != n + 1:
-                raise DimensionMismatch(f"{name}: level {n} needs {n + 1} faces")
-            for i, f in enumerate(self.faces[n]):
-                if f.src is not self.levels[n] or f.dst is not self.levels[n - 1]:
-                    raise DimensionMismatch(
-                        f"{name}: d{i}@{n} joins the wrong levels")
-        for n in range(depth):
-            if len(self.degens[n]) != n + 1:
-                raise DimensionMismatch(
-                    f"{name}: level {n} needs {n + 1} degeneracies")
-            for j, s in enumerate(self.degens[n]):
-                if s.src is not self.levels[n] or s.dst is not self.levels[n + 1]:
-                    raise DimensionMismatch(
-                        f"{name}: s{j}@{n} joins the wrong levels")
+        _check_tower_shape(
+            self.levels, self.faces, self.degens, name, DimensionMismatch,
+            lambda mor, src, dst: mor.src is src and mor.dst is dst)
 
     @property
     def depth(self) -> int:
@@ -325,13 +306,15 @@ def verify_simplicial(t: TruncatedSimplicialHopf) -> Report:
                 rep.equality(f"s{i}s{j}=s{j + 1}s{i}@{n}",
                              t.degens[n + 1][i].lin @ t.degens[n][j].lin,
                              t.degens[n + 1][j + 1].lin @ t.degens[n][i].lin)
+    splits = {}   # (i, j, n) -> d_i s_j == id on level n
     for n in range(N):
         for j in range(n + 1):
             for i in range(n + 2):
                 lhs = t.faces[n + 1][i].lin @ t.degens[n][j].lin
                 if i in (j, j + 1):
-                    rep.equality(f"d{i}s{j}=id@{n}", lhs,
-                                 LinMap.identity(t.levels[n].space))
+                    splits[i, j, n] = rep.equality(
+                        f"d{i}s{j}=id@{n}", lhs,
+                        LinMap.identity(t.levels[n].space))
                 elif i < j:
                     rep.equality(f"d{i}s{j}=s{j - 1}d{i}@{n}", lhs,
                                  t.degens[n - 1][j - 1].lin @ t.faces[n][i].lin)
@@ -344,9 +327,7 @@ def verify_simplicial(t: TruncatedSimplicialHopf) -> Report:
     for n in range(1, N + 1):
         for j in range(n):
             for i in (j, j + 1):
-                split = (t.faces[n][i].lin @ t.degens[n - 1][j].lin ==
-                         LinMap.identity(t.levels[n - 1].space))
-                rep.add(f"projection-(d{i},s{j})@{n}", split)
+                rep.add(f"projection-(d{i},s{j})@{n}", splits[i, j, n - 1])
     rep.derived["level_dims"] = [lv.dim for lv in t.levels]
     return rep
 

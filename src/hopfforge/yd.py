@@ -328,33 +328,26 @@ def smash_product(h: HopfAlgebra, i, action: LinMap):
     """
     H, I = h.space, i.space
     hv = tensor_space(H, I)
+    hs = tensor_space(H, SCALAR)
     if action.dom != hv or action.cod != I:
         raise DimensionMismatch("action must be H(x)I -> I")
 
-    def demand(name, lhs, rhs):
-        diff = lhs.first_difference(rhs)
-        if diff is not None:
-            ii, jj, va, vb = diff
-            raise CompatibilityFailed(
-                f"{name} fails at row {lhs.cod.label(ii)!r}, "
-                f"col {lhs.dom.label(jj)!r}: {va} != {vb}")
-
-    demand("module-law",
-           composite_map(tensor_space(H, H, I), I, [[h.mul, I], action]),
-           composite_map(tensor_space(H, H, I), I, [[H, action], action]))
-    demand("module-unit",
-           composite_map(I, I, [left_unitor(I), [h.unit, I], action]),
-           LinMap.identity(I))
-    demand("module-algebra-mul",
-           composite_map(tensor_space(H, I, I), I, [[H, i.mul], action]),
-           composite_map(tensor_space(H, I, I), I,
-                         [[h.comul, I, I], [H, flip(H, I), I],
-                          [action, action], i.mul]))
-    demand("module-algebra-unit",
-           composite_map(tensor_space(H, SCALAR), I, [[H, i.unit], action]),
-           composite_map(tensor_space(H, SCALAR), I,
-                         [iso_map(tensor_space(H, SCALAR), H),
-                          h.counit, i.unit]))
+    rep = Report(f"smash-product over {h.name}")
+    rep.equality("module-law",
+                 composite_map(tensor_space(H, H, I), I, [[h.mul, I], action]),
+                 composite_map(tensor_space(H, H, I), I, [[H, action], action]))
+    rep.equality("module-unit",
+                 composite_map(I, I, [left_unitor(I), [h.unit, I], action]),
+                 LinMap.identity(I))
+    rep.equality("module-algebra-mul",
+                 composite_map(tensor_space(H, I, I), I, [[H, i.mul], action]),
+                 composite_map(tensor_space(H, I, I), I,
+                               [[h.comul, I, I], [H, flip(H, I), I],
+                                [action, action], i.mul]))
+    rep.equality("module-algebra-unit",
+                 composite_map(hs, I, [[H, i.unit], action]),
+                 composite_map(hs, I, [iso_map(hs, H), h.counit, i.unit]))
+    rep.require(CompatibilityFailed)
 
     space = tensor_space(I, H)
     mul = composite_map(tensor_space(I, H, I, H), space, [

@@ -5,12 +5,20 @@ Exit convention: 0 all checks pass, 1 a mathematical check fails,
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import singular_antipode_doc
 from hopfforge import __version__, cli, fixtures, io
 from hopfforge.errors import NestingError
+
+
+DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+
+#: (id: C2 -> C2, trivial action), a valid crossed module document
+C2_CROSSED_MODULE = {"M": {"builtin": "c2"}, "N": {"builtin": "c2"},
+                     "boundary": [0, 1], "action": [[0, 1], [0, 1]]}
 
 
 @pytest.fixture()
@@ -87,6 +95,12 @@ def test_json_failure_report_carries_witness(capsys, corrupted_path):
     ["rker", "--builtin", "nerve-c2-id", "--level", "9"],
     ["moore-oracle", "--builtin", "nerve-s3-id"],       # needs --allow-large
     ["linearize", "--builtin", "s3", "--json"],         # matrix too large
+    ["simplicial-check", "--input", '{"builtin": "nerve-s3-id"}'],
+    ["check-hopf", "--builtin", "proj-sweedler"],       # not a Hopf algebra
+    ["pipeline", "--builtin", "c2"],                    # not simplicial
+    ["nerve", "--builtin", "sweedler"],                 # not a crossed module
+    ["linearize", "--builtin", "sweedler"],
+    ["check-yd", "--input", json.dumps(C2_CROSSED_MODULE)],
 ])
 def test_usage_errors_exit_two(capsys, argv):
     assert cli.main(argv) == 2
@@ -221,3 +235,29 @@ def test_run_command_returns_report():
     rep = cli.run_command(["check-hopf", "--builtin", "c2"])
     assert rep.ok
     assert any(c.name == "associativity" for c in rep.checks)
+
+
+def test_exit_codes_over_every_command_and_builtin(capsys):
+    """Every command on every builtin that needs no --allow-large, with
+    --level 1 on the simplicial ones: nothing exits 3, an exit 2 says why
+    on stderr and prints nothing, and the calls that answer 0 are the
+    builtin calls whose outputs the benchmark's reference digests hold."""
+    digests = json.loads(DIGESTS.read_text(encoding="utf-8"))["cli"]
+    recorded = {tuple(key.split()[:3]) for key in digests
+                if "--builtin" in key}
+    answered = set()
+    for cmd in cli._COMMANDS:
+        for name in fixtures.BUILTIN_NAMES:
+            if fixtures.builtin_is_large(name):
+                continue
+            argv = [cmd, "--builtin", name]
+            if fixtures.builtin_kind(name) == "simplicial":
+                argv += ["--level", "1"]
+            code = cli.main(argv + ["--json"])
+            out, err = capsys.readouterr()
+            assert code != 3, (argv, err)
+            if code == 2:
+                assert out == "" and err.strip(), argv
+            if code == 0:
+                answered.add(tuple(argv[:3]))
+    assert answered == recorded

@@ -195,6 +195,16 @@ def test_bad_projection_rejected(sweedler, kc2):
         HopfProjection(sweedler, kc2, proj, incl)
 
 
+def test_bad_projection_names_check_and_witness(sweedler, kc2):
+    proj = LinMap.from_rows(sweedler.space, kc2.space,
+                            [[1, 0, 0, 0], [0, 1, 0, 0]])
+    incl = LinMap.from_rows(kc2.space, sweedler.space,
+                            [[1, 0], [0, 0], [0, 0], [0, 1]])
+    with pytest.raises(NotAProjection,
+                       match=r"proj-incl-is-identity fails at .*col 'g'"):
+        HopfProjection(sweedler, kc2, proj, incl)
+
+
 def test_singular_antipode_rejected(sweedler):
     s = sweedler
     singular = LinMap.from_rows(s.space, s.space, SINGULAR_ANTIPODE)

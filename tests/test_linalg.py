@@ -12,7 +12,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hopfforge.errors import ClosureFailure, DimensionMismatch
-from hopfforge.linalg import (LinMap, Space, Subspace, composite_map, flip,
+from hopfforge.linalg import (LinMap, RowReducer, Space, Subspace,
+                              composite_map, flip,
                               full_subspace, iso_map, kernel_basis,
                               left_unitor, rank, rat, right_unitor, solve,
                               tensor_map, tensor_space, try_inverse)
@@ -226,6 +227,22 @@ def test_subspace_equality_ignores_basis_choice():
     s2 = Subspace(v, [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(2)}])
     assert s1.equals(s2)
     assert full_subspace(v).dim == 3
+
+
+def test_try_inverse_reduces_once(monkeypatch):
+    built = []
+    real = RowReducer.__init__
+
+    def counting(self, rows, ncols):
+        built.append(ncols)
+        real(self, rows, ncols)
+
+    monkeypatch.setattr(RowReducer, "__init__", counting)
+    v = Space(["a", "b"])
+    m = LinMap.from_rows(v, v, [[1, 2], [3, 4]])
+    inv = try_inverse(m)
+    assert m @ inv == LinMap.identity(v)
+    assert len(built) == 1
 
 
 def test_iso_map_relabels():

@@ -10,9 +10,12 @@ from fractions import Fraction
 import pytest
 
 from hopfforge import fixtures
-from hopfforge.hopf import GroupTable, cyclic_group, group_algebra
+from hopfforge.errors import DimensionMismatch, InvalidGroup
+from hopfforge.hopf import (GroupTable, HopfMorphism, cyclic_group,
+                            group_algebra)
 from hopfforge.linalg import LinMap
-from hopfforge.simplicial import (TruncatedSimplicialHopf, check_fg_commutation,
+from hopfforge.simplicial import (TruncatedSimplicialGroup,
+                                  TruncatedSimplicialHopf, check_fg_commutation,
                                   check_twisted, constant_simplicial_hopf,
                                   dim2_pipeline, extract_xmod,
                                   identity_crossed_module,
@@ -62,6 +65,57 @@ def test_mutated_faces_fail_face_face_identity(nerve_c2_id):
         t.levels, faces, t.degens, name="mutant"))
     assert not rep.ok
     assert rep.failed()[0].name == "d0d1=d0d0@2"
+
+
+def test_projection_lines_repeat_the_split_identities(sweedler):
+    # s0@0 = S breaks d_i s_0 = id on level 0; each projection-(d_i,s_j)@n
+    # line carries the verdict of d{i}s{j}=id@{n-1}
+    t = constant_simplicial_hopf(sweedler)
+    degens = [list(ss) for ss in t.degens]
+    degens[0][0] = HopfMorphism(sweedler, sweedler, sweedler.antipode,
+                                name="s0@0")
+    rep = verify_simplicial(TruncatedSimplicialHopf(
+        t.levels, t.faces, degens, name="mutant"))
+    status = {c.name: c.status for c in rep.checks}
+    pairs = [(f"projection-(d{i},s{j})@{n}", f"d{i}s{j}=id@{n - 1}")
+             for n in (1, 2) for j in range(n) for i in (j, j + 1)]
+    assert [status[p] for p, _ in pairs] == [status[s] for _, s in pairs]
+    assert status["projection-(d0,s0)@1"] == "fail"
+
+
+def _wrong_face_count(faces):
+    faces[1] = faces[1][:1]
+
+
+def _nonempty_faces0(faces):
+    faces[0] = [faces[1][0]]
+
+
+def _face_from_wrong_level(faces):
+    faces[2][0] = faces[1][0]
+
+
+def _tower(kind):
+    """(tower class, its shape error, the C2 identity nerve in that class)."""
+    if kind == "group":
+        return (TruncatedSimplicialGroup, InvalidGroup,
+                fixtures.group_nerve("nerve-c2-id"))
+    return (TruncatedSimplicialHopf, DimensionMismatch,
+            fixtures.builtin_raw("nerve-c2-id"))
+
+
+@pytest.mark.parametrize("kind", ["group", "hopf"])
+@pytest.mark.parametrize("mutate, says", [
+    (_wrong_face_count, "level 1 needs 2 faces"),
+    (_nonempty_faces0, r"faces\[0\] and degens\[top\] must be empty"),
+    (_face_from_wrong_level, "d0@2 is not a morphism from level 2"),
+])
+def test_tower_shape_errors(kind, mutate, says):
+    cls, error, t = _tower(kind)
+    faces = [list(fs) for fs in t.faces]
+    mutate(faces)
+    with pytest.raises(error, match=says):
+        cls(t.levels, faces, t.degens, name="mutant")
 
 
 def test_nerve_matches_group_construction(nerve_c2_id):

@@ -10,12 +10,14 @@ from fractions import Fraction
 import pytest
 
 from hopfforge import fixtures, yd
-from hopfforge.errors import NestingError, NonInvertibleBraiding
+from hopfforge.errors import (CompatibilityFailed, NestingError,
+                              NonInvertibleBraiding)
 from hopfforge.hopf import HopfAlgebra, adjoint_action, group_algebra
-from hopfforge.linalg import LinMap, flip, tensor_map, try_inverse
+from hopfforge.linalg import LinMap, flip, tensor_map, tensor_space, try_inverse
 from hopfforge.yd import (BraidedHopfAlgebra, YDModule, check_braided_hopf,
-                          check_yd, projection_yd, self_yd_module, trivial_yd,
-                          yd_braiding, yd_pushforward, yd_tensor)
+                          check_yd, projection_yd, self_yd_module,
+                          smash_product, trivial_yd, yd_braiding,
+                          yd_pushforward, yd_tensor)
 
 
 def _fixture_modules(sweedler, ks3, proj_sweedler, proj_sign_s3, quantum_line):
@@ -221,3 +223,11 @@ def test_zero_action_braiding_not_invertible(sweedler):
     with pytest.raises(NonInvertibleBraiding):
         yd_braiding(junk, junk)
     assert yd_braiding(junk, junk, require_invertible=False).is_zero()
+
+
+def test_smash_product_names_the_failing_module_law(kc2):
+    # the zero action satisfies the module law but sends the unit to 0
+    zero = LinMap.zero(tensor_space(kc2.space, kc2.space), kc2.space)
+    with pytest.raises(CompatibilityFailed,
+                       match=r"module-unit fails at row '1', col '1'"):
+        smash_product(kc2, kc2, zero)
