@@ -116,11 +116,7 @@ def _load(args, kind: str):
         _require_allow_large(args, args.builtin)
         obj = fixtures.builtin_raw(args.builtin)
     elif args.input:
-        doc = io.parse_definition(args.input)
-        name = io.builtin_reference(doc.payload)
-        if name is not None:
-            _require_allow_large(args, name)
-        obj = doc.value
+        obj = io.parse_definition(args.input).value
     else:
         raise UsageError("choose an object with --builtin NAME or --input PATH")
     conversions, hint = _KINDS[kind]
@@ -354,6 +350,11 @@ def _run(argv):
     args = _parser().parse_args(argv)
     if not args.command:
         raise UsageError("no subcommand given; see hopfforge --help")
+    if args.input and not args.builtin:
+        # a bare {"builtin": NAME} document is --builtin NAME, so that it
+        # meets the same --allow-large guard before anything is built
+        args.input = io.read_document(args.input)
+        args.builtin = io.builtin_reference(args.input)
     return args, _COMMANDS[args.command][0](args)
 
 

@@ -28,11 +28,10 @@ path of the first offending value.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import json
 
 from .errors import ParseError, SchemaError
-from .linalg import LinMap, SCALAR, Space, tensor_space
+from .linalg import LinMap, SCALAR, Space, rat, tensor_space
 from .hopf import (GroupTable, HopfAlgebra, HopfMorphism, HopfProjection,
                    check_cap, group_algebra)
 from .yd import BraidedHopfAlgebra, YDModule
@@ -42,15 +41,16 @@ from .simplicial import GroupCrossedModule, TruncatedSimplicialHopf
 # -- scalars ------------------------------------------------------------
 
 
-def parse_scalar(x, path: str) -> Fraction:
-    """int or "p/q" string -> Fraction; anything inexact is refused."""
+def parse_scalar(x, path: str):
+    """int or "p/q" string -> scalar (see ``linalg.rat``); anything
+    inexact is refused."""
     if isinstance(x, bool):
         raise ParseError(f"{path}: expected a rational, got {x!r}")
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return rat(x)
         except ZeroDivisionError:
             raise ParseError(f"{path}: bad rational {x!r} (zero denominator)")
         except ValueError:
@@ -60,8 +60,7 @@ def parse_scalar(x, path: str) -> Fraction:
     raise ParseError(f"{path}: expected a rational, got {type(x).__name__}")
 
 
-def scalar_to_json(q: Fraction):
-    q = Fraction(q)
+def scalar_to_json(q):
     return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -100,9 +99,7 @@ def _matrix_rows(rows, dom: Space, cod: Space, path: str) -> LinMap:
             raise SchemaError(
                 f"{path}[{i}]: expected a row of {dom.dim} entries")
         for j, x in enumerate(row):
-            v = parse_scalar(x, f"{path}[{i}][{j}]")
-            if v:
-                cols.setdefault(j, {})[i] = v
+            cols.setdefault(j, {})[i] = parse_scalar(x, f"{path}[{i}][{j}]")
     return LinMap(dom, cod, cols)
 
 
@@ -118,9 +115,8 @@ def _vector(doc: dict, key: str, dom: Space, cod: Space, path: str) -> LinMap:
         raise SchemaError(f"{path}.{key}: expected a list of {n} entries")
     entries = {}
     for k, x in enumerate(flat):
-        v = parse_scalar(x, f"{path}.{key}[{k}]")
-        if v:
-            entries[(k, 0) if dom.dim == 1 else (0, k)] = v
+        entries[(k, 0) if dom.dim == 1 else (0, k)] = parse_scalar(
+            x, f"{path}.{key}[{k}]")
     return LinMap.from_entries(dom, cod, entries)
 
 
@@ -368,9 +364,8 @@ _KIND_KEYS = (
 
 @dataclass
 class DefinitionDocument:
-    """A validated input document: its kind, raw payload, and built value."""
+    """A validated input document: its kind and built value."""
     kind: str
-    payload: dict
     value: object
 
 
@@ -395,11 +390,11 @@ def builtin_reference(doc: dict):
     return None
 
 
-def parse_definition(source) -> DefinitionDocument:
-    """Read and validate a definition from a path, JSON text, or dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
+def read_document(source) -> dict:
+    """The JSON object at a path, in JSON text, or given as a dict, checked
+    to be of a known kind (``detect_kind``) but not built."""
+    doc = source
+    if not isinstance(source, dict):
         text = source
         if not str(source).lstrip().startswith("{"):
             try:
@@ -411,13 +406,20 @@ def parse_definition(source) -> DefinitionDocument:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(f"not valid JSON: {e}")
+    detect_kind(doc)
+    return doc
+
+
+def parse_definition(source) -> DefinitionDocument:
+    """Read and validate a definition from a path, JSON text, or dict."""
+    doc = read_document(source)
     kind = detect_kind(doc)
     name = builtin_reference(doc)
     if name is not None:
-        return DefinitionDocument(kind, doc, _builtin(name, "$"))
+        return DefinitionDocument(kind, _builtin(name, "$"))
     for key, _, builder in _KIND_KEYS:
         if key in doc:
-            return DefinitionDocument(kind, doc, builder(doc, "$"))
+            return DefinitionDocument(kind, builder(doc, "$"))
 
 
 def dump_json(obj: dict) -> str:

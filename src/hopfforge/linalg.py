@@ -1,8 +1,8 @@
 """Exact rational linear algebra on labelled finite-dimensional spaces.
 
-Everything downstream represents structure maps as matrices over Q
-(``fractions.Fraction``), so equality of diagrams is literal entrywise
-equality -- no tolerances anywhere.
+Everything downstream represents structure maps as matrices over Q, so
+equality of diagrams is literal entrywise equality -- no tolerances
+anywhere.  A scalar is an ``int`` when whole, else a ``fractions.Fraction``.
 
 Conventions:
 
@@ -25,26 +25,31 @@ from fractions import Fraction
 
 from .errors import ClosureFailure, DimensionCapExceeded, DimensionMismatch
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 # to_rows and Space.labels refuse to materialise more cells or labels than
-# this; a 216 x 46656 list of rows is already ten million Fractions.
+# this; a 216 x 46656 list of rows is already ten million scalars.
 _MAX_CELLS = 1_048_576
 
 
-def rat(x) -> Fraction:
-    """Coerce int / str / Fraction to Fraction; floats are refused."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def rat(x):
+    """x as an int when it is whole, else a Fraction; floats are refused."""
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def format_rational(q: Fraction) -> str:
+def _div(a, b):
+    """Exact a / b as a scalar (``/`` on two ints would give a float)."""
+    return rat(Fraction(a, b))
+
+
+def format_rational(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -154,7 +159,7 @@ class LinMap:
     """Exact linear map between two spaces.
 
     Stored as a dict column -> {row: value} with zero entries and zero
-    columns omitted.
+    columns omitted; every value passes through ``rat`` here.
     """
 
     __slots__ = ("dom", "cod", "_cols")
@@ -164,8 +169,8 @@ class LinMap:
         self.cod = cod
         clean = {}
         for j, col in cols.items():
-            c = {i: (v if isinstance(v, Fraction) else rat(v))
-                 for i, v in col.items() if v}
+            c = {i: w for i, v in col.items()
+                 if (w := v if type(v) is int else rat(v))}
             if c:
                 clean[j] = c
         self._cols = clean
@@ -182,18 +187,14 @@ class LinMap:
         cols: dict = {}
         for i, r in enumerate(rows):
             for j, x in enumerate(r):
-                v = rat(x)
-                if v:
-                    cols.setdefault(j, {})[i] = v
+                cols.setdefault(j, {})[i] = x
         return cls(dom, cod, cols)
 
     @classmethod
     def from_entries(cls, dom: Space, cod: Space, entries: dict) -> "LinMap":
         cols: dict = {}
         for (i, j), x in entries.items():
-            v = rat(x)
-            if v:
-                cols.setdefault(j, {})[i] = v
+            cols.setdefault(j, {})[i] = x
         return cls(dom, cod, cols)
 
     @classmethod
@@ -210,7 +211,7 @@ class LinMap:
         """Column as {row: value}; treat the result as read-only."""
         return self._cols.get(j, {})
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int):
         return self._cols.get(j, {}).get(i, _ZERO)
 
     def items(self):
@@ -499,7 +500,7 @@ class RowReducer:
             pr = min(cand)
             pv = R[pr][col]
             if pv != 1:
-                inv = _ONE / pv
+                inv = _div(_ONE, pv)
                 R[pr] = {c: inv * v for c, v in R[pr].items()}
                 T[pr] = {c: inv * v for c, v in T[pr].items()}
             for r in list(rows_here):
@@ -563,7 +564,7 @@ class RowReducer:
             lead = min(vec)
             lv = vec[lead]
             if lv != 1:
-                vec = {c: v / lv for c, v in vec.items()}
+                vec = {c: _div(v, lv) for c, v in vec.items()}
             out.append((lead, fc, vec))
         out.sort(key=lambda t: (t[0], t[1]))
         return [vec for _, _, vec in out]
@@ -697,7 +698,7 @@ def kernel_basis(m: LinMap) -> Subspace:
 
 def full_subspace(space: Space) -> Subspace:
     """The whole space viewed as a subspace of itself (identity inclusion)."""
-    return Subspace(space, [{i: Fraction(1)} for i in range(space.dim)],
+    return Subspace(space, [{i: _ONE} for i in range(space.dim)],
                     carrier=space)
 
 

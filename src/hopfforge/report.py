@@ -11,7 +11,6 @@ needs into the caller's exception, with its witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import LinMap, format_rational
 
@@ -33,16 +32,12 @@ class Check:
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return format_rational(x)
     if isinstance(x, bool) or isinstance(x, (int, str)) or x is None:
         return x
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, LinMap):
-        return [[_jsonable(v) for v in row] for row in x.to_rows()]
     return str(x)
 
 

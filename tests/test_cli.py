@@ -225,6 +225,29 @@ def test_subcommands_pass_on_builtins(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["nerve-c2-id", "nerve-c2-trivial"])
+def test_bare_input_reference_is_the_builtin(capsys, name):
+    """--input '{"builtin": NAME}' answers exactly as --builtin NAME does."""
+    assert cli.main(["moore-oracle", "--builtin", name, "--json"]) == 0
+    by_flag = capsys.readouterr().out
+    ref = json.dumps({"builtin": name})
+    assert cli.main(["moore-oracle", "--input", ref, "--json"]) == 0
+    assert capsys.readouterr().out == by_flag
+
+
+def test_large_reference_refused_before_it_is_built(monkeypatch, capsys):
+    def unbuilt(name):
+        raise AssertionError(f"built {name} before refusing it")
+    monkeypatch.setattr(fixtures, "builtin_raw", unbuilt)
+    for argv in (["simplicial-check", "--builtin", "nerve-s3-id"],
+                 ["simplicial-check", "--input", '{"builtin": "nerve-s3-id"}'],
+                 ["moore-oracle", "--input", '{"builtin": "nerve-s3-id"}']):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: builtin 'nerve-s3-id' has dim-216 levels; "
+            "pass --allow-large\n")
+
+
 def test_inline_json_input(capsys):
     text = io.dump_json(io.serialize(fixtures.builtin_raw("c3")))
     assert cli.main(["check-hopf", "--input", text]) == 0
