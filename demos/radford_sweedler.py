@@ -7,7 +7,6 @@ bosonising it against kC2 rebuilds H4 on the nose.
 
 from hopfforge import fixtures
 from hopfforge.hopf import check_hopf
-from hopfforge.linalg import format_rational
 from hopfforge.radford import bosonisation, induced_braided_hopf, radford_iso
 from hopfforge.yd import yd_braiding
 
@@ -16,7 +15,7 @@ def show(m, title):
     print(f"\n{title}  ({m.dom.dim} -> {m.cod.dim})")
     rows = m.to_rows()
     for i, row in enumerate(rows):
-        cells = " ".join(f"{format_rational(v):>4}" for v in row)
+        cells = " ".join(f"{v!s:>4}" for v in row)
         print(f"  {m.cod.label(i):>4} | {cells}")
 
 

@@ -354,17 +354,10 @@ def semidirect_product(m: GroupTable, n: GroupTable, action,
         label = lambda ml, nl: f"({ml},{nl})"
     labels = [label(m.labels[i], n.labels[j])
               for i in range(m.order) for j in range(n.order)]
-    size = m.order * n.order
-    table = np.empty((size, size), dtype=np.int64)
-    for i1 in range(m.order):
-        for j1 in range(n.order):
-            a = i1 * n.order + j1
-            for i2 in range(m.order):
-                mi = m.mul(i1, int(act[j1, i2]))
-                base = mi * n.order
-                row_n = n.table[j1]
-                for j2 in range(n.order):
-                    table[a, i2 * n.order + j2] = base + row_n[j2]
+    idx = np.arange(m.order * n.order)
+    ms, ns = idx // n.order, idx % n.order
+    table = (m.table[ms[:, None], act[ns[:, None], ms]] * n.order +
+             n.table[ns[:, None], ns])
     return GroupTable(labels, table, name=name or f"{m.name}x|{n.name}")
 
 

@@ -2,7 +2,8 @@
 
 Everything downstream represents structure maps as matrices over Q, so
 equality of diagrams is literal entrywise equality -- no tolerances
-anywhere.  A scalar is an ``int`` when whole, else a ``fractions.Fraction``.
+anywhere.  A scalar is an ``int`` when whole, else a ``fractions.Fraction``;
+``str`` renders either form.
 
 Conventions:
 
@@ -47,10 +48,6 @@ def rat(x):
 def _div(a, b):
     """Exact a / b as a scalar (``/`` on two ints would give a float)."""
     return rat(Fraction(a, b))
-
-
-def format_rational(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 class Space:
@@ -276,37 +273,14 @@ class LinMap:
                         dst[base + i2] = v1 * v2
         return LinMap(dom, cod, cols)
 
-    def _require_same_shape(self, other: "LinMap"):
+    def __sub__(self, other: "LinMap") -> "LinMap":
         if self.dom != other.dom or self.cod != other.cod:
             raise DimensionMismatch("maps have different shapes")
-
-    def __add__(self, other: "LinMap") -> "LinMap":
-        self._require_same_shape(other)
         cols = {j: dict(col) for j, col in self._cols.items()}
         for i, j, v in other.items():
             dst = cols.setdefault(j, {})
-            nv = dst.get(i, _ZERO) + v
-            if nv:
-                dst[i] = nv
-            else:
-                del dst[i]
+            dst[i] = dst.get(i, _ZERO) - v
         return LinMap(self.dom, self.cod, cols)
-
-    def __neg__(self) -> "LinMap":
-        return LinMap(self.dom, self.cod,
-                      {j: {i: -v for i, v in col.items()}
-                       for j, col in self._cols.items()})
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "LinMap":
-        s = rat(scalar)
-        if not s:
-            return LinMap.zero(self.dom, self.cod)
-        return LinMap(self.dom, self.cod,
-                      {j: {i: s * v for i, v in col.items()}
-                       for j, col in self._cols.items()})
 
     def is_zero(self) -> bool:
         return not self._cols
@@ -614,7 +588,7 @@ class Subspace:
     def __init__(self, ambient: Space, columns, name: str = "sub",
                  carrier: Space = None):
         self.ambient = ambient
-        cols = [{i: rat(v) for i, v in c.items() if v} for c in columns]
+        cols = [{i: v for i, v in c.items() if v} for c in columns]
         if carrier is not None and carrier.dim != len(cols):
             raise DimensionMismatch("subspace carrier has the wrong dimension")
         labels = []
@@ -668,23 +642,12 @@ class Subspace:
                 cols[j] = x
         return LinMap(m.dom, self.space, cols)
 
-    def contains_map_image(self, m: LinMap) -> bool:
-        try:
-            self.corestrict(m)
-            return True
-        except ClosureFailure:
-            return False
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.dim == 0:
-            return True
-        if self.dim == 0:
-            return False
-        return self.contains_map_image(other.inclusion)
-
     def equals(self, other: "Subspace") -> bool:
-        return (self.dim == other.dim and self.contains_subspace(other)
-                and other.contains_subspace(self))
+        if self.ambient != other.ambient:
+            raise DimensionMismatch("subspaces of different spaces")
+        return self.dim == other.dim and all(
+            self.contains_vector(other.inclusion.column(j))
+            for j in range(other.dim))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient!r})"
@@ -709,13 +672,6 @@ def tensor_subspace(a: Subspace, b: Subspace) -> Subspace:
     corestricting into the result lines up with maps into the carriers'
     tensor space.
     """
-    ambient = tensor_space(a.ambient, b.ambient)
-    nb = b.ambient.dim
-    cols = []
-    for i in range(a.dim):
-        ca = a.inclusion.column(i)
-        for j in range(b.dim):
-            cb = b.inclusion.column(j)
-            cols.append({ra * nb + rb: va * vb
-                         for ra, va in ca.items() for rb, vb in cb.items()})
-    return Subspace(ambient, cols, carrier=tensor_space(a.space, b.space))
+    t = a.inclusion.tensor(b.inclusion)
+    return Subspace(t.cod, [t.column(j) for j in range(t.dom.dim)],
+                    carrier=t.dom)

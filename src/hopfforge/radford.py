@@ -87,10 +87,12 @@ def generator_maps(a: HopfAlgebra, ipar: LinMap):
     return f, g
 
 
-def checked_generators(a: HopfAlgebra, ipar: LinMap, what: str):
-    """f and g of generator_maps, after checking f.f == f, g.f == g and
-    sum f(v') ipar(v'') == v; ClosureFailure, prefixed by ``what``, names
-    the first identity that fails and its witness."""
+def checked_generators(a: HopfAlgebra, ipar: LinMap, what: str,
+                       kernel: Subspace = None):
+    """f and g of generator_maps, after checking f.f == f, g.f == g,
+    sum f(v') ipar(v'') == v and, given the ``kernel`` of the split pair,
+    that f fixes it; ClosureFailure, prefixed by ``what``, names the first
+    identity that fails and its witness."""
     f, g = generator_maps(a, ipar)
     A = a.space
     rep = Report(what)
@@ -99,6 +101,8 @@ def checked_generators(a: HopfAlgebra, ipar: LinMap, what: str):
     rep.equality("f-ipar-convolution-is-identity",
                  composite_map(A, A, [a.comul, [f, ipar], a.mul]),
                  LinMap.identity(A))
+    if kernel is not None and kernel.dim:
+        rep.equality("f-fixes-kernel", f @ kernel.inclusion, kernel.inclusion)
     rep.require(ClosureFailure)
     return f, g
 
@@ -142,11 +146,10 @@ def kernel_structure(a: HopfAlgebra, sub: Subspace, f: LinMap, proj: LinMap,
 
 @dataclass
 class RKerResult:
-    """B = RKer(par) with its inclusion, braided Hopf structure and the
-    generator maps of the projection that produced it."""
+    """B = RKer(par) with its inclusion and braided Hopf structure, and the
+    kernel generator f of the projection that produced it."""
     subspace: Subspace
     braided: BraidedHopfAlgebra
-    generators: KernelGenerators
     f_cor: LinMap   # f corestricted, I -> B
 
 
@@ -175,7 +178,7 @@ def induced_braided_hopf(p: HopfProjection, name: str = None) -> RKerResult:
     carrier = YDModule(small, b.space, action, coaction, name=name)
     braided = BraidedHopfAlgebra(carrier, mul, unit, comul, counit, antipode,
                                  name=name)
-    return RKerResult(b, braided, gen, f_cor)
+    return RKerResult(b, braided, f_cor)
 
 
 def bosonisation(a: BraidedHopfAlgebra) -> HopfAlgebra:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import LinMap, format_rational
+from .linalg import LinMap
 
 
 @dataclass
@@ -135,7 +135,7 @@ def _diff_witness(lhs: LinMap, diff) -> dict:
     return {
         "row": lhs.cod.label(i), "col": lhs.dom.label(j),
         "row_index": i, "col_index": j,
-        "lhs": format_rational(va), "rhs": format_rational(vb),
+        "lhs": str(va), "rhs": str(vb),
     }
 
 

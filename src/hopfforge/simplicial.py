@@ -24,14 +24,15 @@ The Moore-complex oracle recomputes the same answers by raw element
 enumeration, giving the linear pipeline something independent to agree with.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ClosureFailure, DimensionMismatch, HypothesisFailed,
                      InvalidCrossedModule, InvalidGroup, UsageError)
-from .linalg import (LinMap, SCALAR, Subspace, composite_map, flip, iso_map,
-                     tensor_space)
+from .linalg import (LinMap, SCALAR, Subspace, _decode, composite_map, flip,
+                     iso_map, tensor_space)
 from .report import Check, Report
 from .hopf import (GroupTable, HopfAlgebra, HopfMorphism, HopfProjection,
                    adjoint_action, adjoint_stages, check_group_hom,
@@ -404,6 +405,19 @@ class NestedKernel:
     in_ambient: Subspace
 
 
+@contextmanager
+def _simplicial_hypothesis():
+    """Re-raise a ClosureFailure as HypothesisFailed (exit 1): a map leaving
+    a kernel of the tower, or a nested split pair failing Radford's
+    identities, means the input breaks a simplicial identity."""
+    try:
+        yield
+    except ClosureFailure as e:
+        raise HypothesisFailed(
+            f"{e} (hint: the faces and degeneracies of this input break a "
+            "simplicial identity; simplicial-check names it)") from e
+
+
 def _tower_step(t: TruncatedSimplicialHopf, n: int, below: RKerResult):
     """Radford's construction twice at level n: A^n_(0,0) from (d_0, s_0),
     then, on the braided split pair (d_2, s_1) between A^n_(0,0) and
@@ -412,17 +426,17 @@ def _tower_step(t: TruncatedSimplicialHopf, n: int, below: RKerResult):
     Returns (A^n_(0,0), restricted d_2, restricted s_1, A^n_(2,1)).
     """
     top = level_rker(t, n, 0, 0)
-    d2 = below.subspace.corestrict(
-        t.faces[n][2].lin @ top.subspace.inclusion, what=f"d2 on A{n}(0,0)")
-    s1 = top.subspace.corestrict(
-        t.degens[n - 1][1].lin @ below.subspace.inclusion,
-        what=f"s1 on A{n - 1}(0,0)")
     what = f"A{n}(2,1)"
     a = top.braided
-    sub = right_kernel(a, d2, below.braided.unit)
-    f, g = checked_generators(a, s1 @ d2, what)
-    if sub.dim and f @ sub.inclusion != sub.inclusion:
-        raise ClosureFailure(f"{what}: braided f does not fix its kernel")
+    with _simplicial_hypothesis():
+        d2 = below.subspace.corestrict(
+            t.faces[n][2].lin @ top.subspace.inclusion,
+            what=f"d2 on A{n}(0,0)")
+        s1 = top.subspace.corestrict(
+            t.degens[n - 1][1].lin @ below.subspace.inclusion,
+            what=f"s1 on A{n - 1}(0,0)")
+        sub = right_kernel(a, d2, below.braided.unit)
+        f, g = checked_generators(a, s1 @ d2, what, sub)
     amb = Subspace(top.subspace.ambient,
                    [top.subspace.inclusion.apply(sub.inclusion.column(i))
                     for i in range(sub.dim)], name=what)
@@ -461,8 +475,9 @@ def dim2_pipeline(t: TruncatedSimplicialHopf) -> PipelineResult:
     # and the action square of d2 commutes only for the (d1, s0) lift.
     lifted = pushforward_braided(level_projection(t, 1, 1, 0), a100.braided,
                                  name="A1(0,0)^")
-    d1 = a100.subspace.corestrict(
-        t.faces[2][1].lin @ a200.subspace.inclusion, what="d1 on A2(0,0)")
+    with _simplicial_hypothesis():
+        d1 = a100.subspace.corestrict(
+            t.faces[2][1].lin @ a200.subspace.inclusion, what="d1 on A2(0,0)")
     idh1 = HopfMorphism(h1, h1, LinMap.identity(h1.space), name="id")
     rep = Report(f"dim2-pipeline {t.name}")
     # Interchange is not valid for arbitrary modules, so confirm the
@@ -539,31 +554,6 @@ def check_twisted(t: TruncatedSimplicialHopf,
 # -- the Peiffer pairing ------------------------------------------------
 
 
-def _vec_mul(h: HopfAlgebra, u: dict, v: dict) -> dict:
-    """Sparse product of two algebra elements written over the basis."""
-    n = h.dim
-    out: dict = {}
-    for iu, cu in u.items():
-        base = iu * n
-        for iv, cv in v.items():
-            c = cu * cv
-            for r, w in h.mul.column(base + iv).items():
-                acc = out.get(r, 0) + w * c
-                if acc:
-                    out[r] = acc
-                elif r in out:
-                    del out[r]
-    return out
-
-
-def _decode4(idx: int, d: int):
-    a4 = idx % d
-    idx //= d
-    a3 = idx % d
-    idx //= d
-    return idx // d, idx % d, a3, a4
-
-
 def _peiffer_closed_form(t: TruncatedSimplicialHopf,
                          pipe: PipelineResult) -> LinMap:
     """Sum over the third coproduct powers of x and y of the product
@@ -588,21 +578,23 @@ def _peiffer_closed_form(t: TruncatedSimplicialHopf,
     incl = pipe.a100.subspace.inclusion
     B = pipe.a100.braided.space
     legs = [delta3.apply(incl.column(i)) for i in range(B.dim)]
-    d = h1.dim
+    dims = [h1.dim] * 4
     cols = {}
     for ix in range(B.dim):
         for iy in range(B.dim):
             acc: dict = {}
             for kx, cx in legs[ix].items():
-                a = _decode4(kx, d)
+                a = _decode(kx, dims)
                 fx = [mx[p].column(a[p]) for p in range(4)]
                 for ky, cy in legs[iy].items():
-                    b = _decode4(ky, d)
+                    b = _decode(ky, dims)
                     fy = [my[p].column(b[p]) for p in range(4)]
                     prod = fx[0]
                     for fac in (fy[0], fy[1], fx[1], fx[2], fy[2], fy[3],
                                 fx[3]):
-                        prod = _vec_mul(h2, prod, fac)
+                        prod = h2.mul.apply({iu * h2.dim + iv: cu * cv
+                                             for iu, cu in prod.items()
+                                             for iv, cv in fac.items()})
                         if not prod:
                             break
                     c = cx * cy

@@ -198,6 +198,21 @@ class BraidedHopfAlgebra(HopfAlgebra):
         return f"BraidedHopfAlgebra({self.name} in YD({self.over.name}))"
 
 
+def _module_algebra_laws(rep: Report, h: HopfAlgebra, i, action: LinMap):
+    """Record on ``rep`` that ``action``: H (x) I -> I respects the product
+    and unit of ``i`` (anything with .space/.mul/.unit)."""
+    H, I = h.space, i.space
+    hs = tensor_space(H, SCALAR)
+    rep.equality("module-algebra-mul",
+                 composite_map(tensor_space(H, I, I), I, [[H, i.mul], action]),
+                 composite_map(tensor_space(H, I, I), I,
+                               [[h.comul, I, I], [H, flip(H, I), I],
+                                [action, action], i.mul]))
+    rep.equality("module-algebra-unit",
+                 composite_map(hs, I, [[H, i.unit], action]),
+                 composite_map(hs, I, [iso_map(hs, H), h.counit, i.unit]))
+
+
 def check_braided_hopf(a: BraidedHopfAlgebra) -> Report:
     """Hopf axioms with R' inserted, plus the module/comodule structure laws.
 
@@ -226,15 +241,7 @@ def check_braided_hopf(a: BraidedHopfAlgebra) -> Report:
     R_HA, R_AH = flip(H, A), flip(A, H)
     kk = tensor_space(SCALAR, SCALAR)
 
-    rep.equality("module-algebra-mul",
-                 composite_map(tensor_space(H, A, A), A, [[H, mul], rho]),
-                 composite_map(tensor_space(H, A, A), A,
-                               [[h.comul, A, A], [H, R_HA, A], [rho, rho], mul]))
-    rep.equality("module-algebra-unit",
-                 composite_map(tensor_space(H, SCALAR), A, [[H, unit], rho]),
-                 composite_map(tensor_space(H, SCALAR), A,
-                               [iso_map(tensor_space(H, SCALAR), H),
-                                h.counit, unit]))
+    _module_algebra_laws(rep, h, a, rho)
     rep.equality("comodule-algebra-mul",
                  composite_map(tensor_space(A, A), tensor_space(H, A),
                                [mul, phi]),
@@ -328,7 +335,6 @@ def smash_product(h: HopfAlgebra, i, action: LinMap):
     """
     H, I = h.space, i.space
     hv = tensor_space(H, I)
-    hs = tensor_space(H, SCALAR)
     if action.dom != hv or action.cod != I:
         raise DimensionMismatch("action must be H(x)I -> I")
 
@@ -339,14 +345,7 @@ def smash_product(h: HopfAlgebra, i, action: LinMap):
     rep.equality("module-unit",
                  composite_map(I, I, [left_unitor(I), [h.unit, I], action]),
                  LinMap.identity(I))
-    rep.equality("module-algebra-mul",
-                 composite_map(tensor_space(H, I, I), I, [[H, i.mul], action]),
-                 composite_map(tensor_space(H, I, I), I,
-                               [[h.comul, I, I], [H, flip(H, I), I],
-                                [action, action], i.mul]))
-    rep.equality("module-algebra-unit",
-                 composite_map(hs, I, [[H, i.unit], action]),
-                 composite_map(hs, I, [iso_map(hs, H), h.counit, i.unit]))
+    _module_algebra_laws(rep, h, i, action)
     rep.require(CompatibilityFailed)
 
     space = tensor_space(I, H)

@@ -181,6 +181,29 @@ def test_singular_antipode_document_exits_one(tmp_path, capsys):
     assert "antipode matrix is singular" in capsys.readouterr().err
 
 
+def _d0_is_d1_at_level2(doc):
+    doc["faces"][2][0] = doc["faces"][2][1]
+
+
+def _level1_faces_swapped(doc):
+    doc["faces"][1].reverse()
+
+
+@pytest.mark.parametrize("mutate", [_d0_is_d1_at_level2,
+                                    _level1_faces_swapped])
+@pytest.mark.parametrize("cmd", ["pipeline", "peiffer", "extract-xmod",
+                                 "check-restriction"])
+def test_non_simplicial_tower_exits_one(capsys, mutate, cmd):
+    # faces that break a simplicial identity push d2 out of A2(0,0): the
+    # input fails a hypothesis of the tower, nothing inside broke
+    doc = io.serialize(fixtures.builtin_raw("nerve-c2-id"))
+    mutate(doc)
+    assert cli.main([cmd, "--input", io.dump_json(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "d2 on A2(0,0)" in err and "simplicial-check" in err
+
+
 # -- exit code 3: internal errors ----------------------------------------------
 
 

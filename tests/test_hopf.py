@@ -7,10 +7,11 @@ algebra oracles come straight from the Cayley tables.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import SINGULAR_ANTIPODE, convolution_antipode
-from hopfforge import fixtures
+from hopfforge import fixtures, simplicial
 from hopfforge.errors import (DimensionCapExceeded, InvalidGroup,
                               NonInvertibleAntipode, NotAProjection)
 from hopfforge.hopf import (GroupTable, HopfAlgebra, HopfMorphism,
@@ -144,6 +145,38 @@ def test_semidirect_product_recovers_s3():
     # noncommutative, unlike the direct product
     assert any(tw.table[i][j] != tw.table[j][i]
                for i in range(6) for j in range(6))
+
+
+def _semidirect_table_by_loops(m, n, action):
+    """The Cayley table of M x| N entry by entry, as a reference for the
+    vectorised one: (m,n)(m',n') = (m (n |> m'), n n')."""
+    act = np.asarray(action, dtype=np.int64)
+    size = m.order * n.order
+    table = np.empty((size, size), dtype=np.int64)
+    for i1 in range(m.order):
+        for j1 in range(n.order):
+            a = i1 * n.order + j1
+            for i2 in range(m.order):
+                base = m.mul(i1, int(act[j1, i2])) * n.order
+                for j2 in range(n.order):
+                    table[a, i2 * n.order + j2] = base + n.table[j1, j2]
+    return table
+
+
+def test_semidirect_tables_of_builtin_nerves_match_loops(monkeypatch):
+    built = []
+
+    def checked(m, n, action, **kw):
+        g = semidirect_product(m, n, action, **kw)
+        assert np.array_equal(g.table,
+                              _semidirect_table_by_loops(m, n, action))
+        built.append(g.order)
+        return g
+
+    monkeypatch.setattr(simplicial, "semidirect_product", checked)
+    for name in ("nerve-c2-id", "nerve-c2-trivial", "nerve-s3-id"):
+        fixtures.group_nerve.__wrapped__(name)   # bypass the builtin cache
+    assert built == [4, 8, 16, 2, 2, 2, 36, 216]
 
 
 def test_sign_map_is_a_group_hom():

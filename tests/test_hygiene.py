@@ -1,0 +1,67 @@
+"""Source hygiene of the package: no import goes unused and no private
+module-level name is left without a reference, so a change that folds one
+implementation into another cannot leave its orphans behind."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _referenced(tree: ast.Module) -> set:
+    """Every identifier read in ``tree``: names, attributes, and names
+    imported by ``from ... import``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - used) == []
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_module_name_is_referenced():
+    trees = {p.name: _tree(p) for p in MODULES}
+    referenced = set().union(*map(_referenced, trees.values()))
+    orphans = sorted(f"{mod}:{name}" for mod, tree in trees.items()
+                     for name in _private_definitions(tree)
+                     if name not in referenced)
+    assert orphans == []

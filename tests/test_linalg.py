@@ -229,6 +229,25 @@ def test_subspace_equality_ignores_basis_choice():
     assert full_subspace(v).dim == 3
 
 
+def test_subspace_equality_tells_equal_dimensions_apart():
+    v = Space(["a", "b", "c"])
+    s1 = Subspace(v, [{0: 1}, {1: 1}])
+    assert s1.equals(Subspace(v, [{0: 1, 1: 1}, {0: 1, 1: -1}]))
+    assert not s1.equals(Subspace(v, [{0: 1}, {2: 1}]))
+    assert not s1.equals(Subspace(v, [{0: 1}]))
+    with pytest.raises(DimensionMismatch):
+        s1.equals(Subspace(Space(["x", "y", "z"]), [{0: 1}, {1: 1}]))
+
+
+def test_difference_of_a_map_with_itself_is_zero():
+    v = Space(["a", "b"])
+    m = LinMap.from_rows(v, v, [[1, Fraction(1, 2)], [0, -3]])
+    assert (m - m).is_zero()
+    assert m - LinMap.zero(v, v) == m
+    with pytest.raises(DimensionMismatch):
+        m - LinMap.zero(v, Space(["c"]))
+
+
 def test_try_inverse_reduces_once(monkeypatch):
     built = []
     real = RowReducer.__init__

@@ -11,11 +11,12 @@ import pytest
 
 from conftest import convolution_antipode
 from hopfforge import fixtures
+from hopfforge.errors import ClosureFailure
 from hopfforge.hopf import check_hopf, zero_morphism
-from hopfforge.linalg import LinMap, composite_map, tensor_map
-from hopfforge.radford import (bosonisation, induced_braided_hopf,
-                               kernel_generators, kernel_sides_agree,
-                               radford_iso, rker)
+from hopfforge.linalg import LinMap, composite_map, full_subspace, tensor_map
+from hopfforge.radford import (bosonisation, checked_generators,
+                               induced_braided_hopf, kernel_generators,
+                               kernel_sides_agree, radford_iso, rker)
 from hopfforge.yd import check_braided_hopf
 
 
@@ -73,6 +74,14 @@ def test_generator_identities(pname):
 
 
 # -- the induced braided Hopf structure --------------------------------------
+
+
+def test_generators_must_fix_the_given_kernel(proj_sweedler):
+    # f fixes RKer(par) but not all of I: the failure is a named check
+    p = proj_sweedler
+    with pytest.raises(ClosureFailure, match="f-fixes-kernel fails at row"):
+        checked_generators(p.big, p.incl.lin @ p.proj.lin, p.name,
+                           full_subspace(p.big.space))
 
 
 def test_braided_comul_of_x_is_primitive(quantum_line):
