@@ -384,26 +384,20 @@ def group_algebra(g: GroupTable, name=None) -> HopfAlgebra:
     name = name or f"k[{g.name}]"
     space = Space(g.labels)
     n = g.order
-    mul_cols = {}
-    for i in range(n):
-        ti = g.table[i]
-        for j in range(n):
-            mul_cols[i * n + j] = {int(ti[j]): 1}
-    mul = LinMap(tensor_space(space, space), space, mul_cols)
+    sq = tensor_space(space, space)
+    mul = LinMap.from_monomial(sq, space, g.table.ravel())
     unit = LinMap.from_entries(SCALAR, space, {(g.identity, 0): 1})
-    comul = LinMap.from_entries(space, tensor_space(space, space),
-                                {(j * n + j, j): 1 for j in range(n)})
+    comul = LinMap.from_monomial(space, sq, np.arange(n) * (n + 1))
     counit = LinMap.from_rows(space, SCALAR, [[1] * n])
-    antipode = LinMap.from_entries(space, space,
-                                   {(g.inv(j), j): 1 for j in range(n)})
+    antipode = LinMap.from_monomial(space, space, g.inverse)
     return HopfAlgebra(space, mul, unit, comul, counit, antipode, name=name)
 
 
 def linearize_group_hom(src: HopfAlgebra, dst: HopfAlgebra, images,
                         name: str = "f") -> HopfMorphism:
     """Index map between group bases -> Hopf morphism of group algebras."""
-    lin = LinMap.from_entries(src.space, dst.space,
-                              {(int(images[j]), j): 1 for j in range(src.dim)})
+    lin = LinMap.from_monomial(src.space, dst.space,
+                               np.asarray(images, dtype=np.int64))
     return HopfMorphism(src, dst, lin, name=name)
 
 

@@ -16,13 +16,19 @@ Conventions:
 
 Large structural maps (e.g. id (x) R (x) id on a fourth tensor power) must
 never be materialised; ``composite_map`` evaluates a whole pipeline of
-tensor stages column by column on sparse vectors instead.
+tensor stages instead.  When every map in it is monomial (each column zero
+or a single +-1, as the structure maps, faces and degeneracies of group
+algebras are), the pipeline runs on numpy index arrays, one gather per
+factor; otherwise it runs column by column on sparse vectors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ClosureFailure, DimensionCapExceeded, DimensionMismatch
 
@@ -32,6 +38,12 @@ _ONE = 1
 # to_rows and Space.labels refuse to materialise more cells or labels than
 # this; a 216 x 46656 list of rows is already ten million scalars.
 _MAX_CELLS = 1_048_576
+
+# index arrays are int64, so an index range past this stays on sparse vectors
+_MAX_INDEX = np.iinfo(np.int64).max
+
+# LinMap._mono before monomial() has looked at the columns
+_UNKNOWN = object()
 
 
 def rat(x):
@@ -156,10 +168,12 @@ class LinMap:
     """Exact linear map between two spaces.
 
     Stored as a dict column -> {row: value} with zero entries and zero
-    columns omitted; every value passes through ``rat`` here.
+    columns omitted; every value given to ``__init__`` passes through
+    ``rat``.  A monomial map also has a cached array form, see
+    ``monomial``; ``from_monomial`` builds one from its arrays.
     """
 
-    __slots__ = ("dom", "cod", "_cols")
+    __slots__ = ("dom", "cod", "_cols", "_mono")
 
     def __init__(self, dom: Space, cod: Space, cols: dict):
         self.dom = dom
@@ -171,6 +185,7 @@ class LinMap:
             if c:
                 clean[j] = c
         self._cols = clean
+        self._mono = _UNKNOWN
 
     # -- constructors -------------------------------------------------
 
@@ -195,8 +210,27 @@ class LinMap:
         return cls(dom, cod, cols)
 
     @classmethod
+    def from_monomial(cls, dom: Space, cod: Space, targets,
+                      signs=None) -> "LinMap":
+        """Column j is signs[j] (default 1, 0 for a zero column) times basis
+        vector targets[j], for int64 arrays; built with its monomial view
+        and without the pass of __init__, as the values are +-1 ints."""
+        if signs is None:
+            signs = np.ones(dom.dim, dtype=np.int8)
+        live = np.flatnonzero(signs)
+        rows = targets[live]
+        if rows.size and int(rows.max()) >= cod.dim:
+            raise DimensionMismatch("monomial map lands outside its codomain")
+        out = cls.__new__(cls)
+        out.dom, out.cod = dom, cod
+        out._cols = {j: {i: v} for j, i, v in
+                     zip(live.tolist(), rows.tolist(), signs[live].tolist())}
+        out._mono = (np.where(signs != 0, targets, 0), signs)
+        return out
+
+    @classmethod
     def identity(cls, space: Space) -> "LinMap":
-        return cls(space, space, {j: {j: _ONE} for j in range(space.dim)})
+        return iso_map(space, space)
 
     @classmethod
     def zero(cls, dom: Space, cod: Space) -> "LinMap":
@@ -216,6 +250,18 @@ class LinMap:
         for j, col in self._cols.items():
             for i, v in col.items():
                 yield i, j, v
+
+    def monomial(self):
+        """The map as index arrays (targets, signs), or None.
+
+        Column j is signs[j] times basis vector targets[j]; a zero column
+        has sign 0 and target 0, so equal maps have equal arrays.  None
+        when a column has two entries or a value other than +-1.  Worked
+        out on first use and kept: treat the arrays as read-only.
+        """
+        if self._mono is _UNKNOWN:
+            self._mono = _monomial_view(self)
+        return self._mono
 
     @property
     def nnz(self) -> int:
@@ -252,26 +298,11 @@ class LinMap:
         if other.cod != self.dom:
             raise DimensionMismatch(
                 f"compose: inner spaces differ ({other.cod!r} vs {self.dom!r})")
-        cols = {}
-        for j, col in other._cols.items():
-            c = self.apply(col)
-            if c:
-                cols[j] = c
-        return LinMap(other.dom, self.cod, cols)
+        return composite_map(other.dom, self.cod, [other, self])
 
     def tensor(self, other: "LinMap") -> "LinMap":
-        dom = tensor_space(self.dom, other.dom)
-        cod = tensor_space(self.cod, other.cod)
-        oc, od = other.cod.dim, other.dom.dim
-        cols: dict = {}
-        for j1, col1 in self._cols.items():
-            for j2, col2 in other._cols.items():
-                dst = cols.setdefault(j1 * od + j2, {})
-                for i1, v1 in col1.items():
-                    base = i1 * oc
-                    for i2, v2 in col2.items():
-                        dst[base + i2] = v1 * v2
-        return LinMap(dom, cod, cols)
+        return composite_map(tensor_space(self.dom, other.dom),
+                             tensor_space(self.cod, other.cod), [[self, other]])
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         if self.dom != other.dom or self.cod != other.cod:
@@ -301,6 +332,11 @@ class LinMap:
         order used by every checker: the column index is the domain basis
         vector on which the two sides of a law first disagree.
         """
+        va, vb = self._mono, other._mono
+        if (type(va) is tuple and type(vb) is tuple
+                and np.array_equal(va[0], vb[0])
+                and np.array_equal(va[1], vb[1])):
+            return None
         a, b = self._cols, other._cols
         for j in sorted(set(a) | set(b)):
             ca, cb = a.get(j, {}), b.get(j, {})
@@ -316,6 +352,25 @@ class LinMap:
         return f"LinMap({self.dom.dim}->{self.cod.dim}, nnz={self.nnz})"
 
 
+def _monomial_view(m: LinMap):
+    """(targets, signs) of ``m`` for LinMap.monomial, or None."""
+    n, rows, cols = m.dom.dim, m.cod.dim, m._cols
+    if rows > _MAX_INDEX or any(len(c) != 1 for c in cols.values()):
+        return None
+    targets = np.zeros(n, dtype=np.int64)
+    signs = np.zeros(n, dtype=np.int8)
+    if not cols:
+        return targets, signs
+    js = list(cols)
+    idx, vals = zip(*(e for c in cols.values() for e in c.items()))
+    if (min(js) < 0 or max(js) >= n or min(idx) < 0 or max(idx) >= rows
+            or not set(vals) <= {1, -1}):
+        return None
+    targets[js] = idx
+    signs[js] = vals
+    return targets, signs
+
+
 def tensor_map(f: LinMap, g: LinMap) -> LinMap:
     return f.tensor(g)
 
@@ -324,7 +379,7 @@ def iso_map(dom: Space, cod: Space) -> LinMap:
     """Identity-entry map between equal-dimension spaces (unitors etc.)."""
     if dom.dim != cod.dim:
         raise DimensionMismatch("iso_map needs equal dimensions")
-    return LinMap(dom, cod, {j: {j: _ONE} for j in range(dom.dim)})
+    return LinMap.from_monomial(dom, cod, np.arange(dom.dim, dtype=np.int64))
 
 
 def left_unitor(v: Space) -> LinMap:
@@ -339,14 +394,9 @@ def right_unitor(v: Space) -> LinMap:
 
 def flip(v: Space, w: Space) -> LinMap:
     """The symmetry v (x) w -> w (x) v of Vect."""
-    dom = tensor_space(v, w)
-    cod = tensor_space(w, v)
-    cols = {}
-    for i in range(v.dim):
-        base = i * w.dim
-        for j in range(w.dim):
-            cols[base + j] = {j * v.dim + i: _ONE}
-    return LinMap(dom, cod, cols)
+    i, j = np.divmod(np.arange(v.dim * w.dim, dtype=np.int64), w.dim)
+    return LinMap.from_monomial(tensor_space(v, w), tensor_space(w, v),
+                                j * v.dim + i)
 
 
 # -- column-wise evaluation of big composites -------------------------
@@ -405,19 +455,26 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
     Stages apply left to right, so ``[f, g]`` is the composite g . f.
     Intermediate spaces are never constructed -- only index arithmetic --
     which keeps laws like (mul x mul).(id x R x id).(comul x comul)
-    tractable on large group algebras.
+    tractable on large group algebras.  A pipeline of monomial maps runs
+    on index arrays (``_monomial_composite``), any other on sparse
+    vectors (``_sparse_composite``); both give the same LinMap.
     """
-    prepared = []
-    for st in stages:
-        if isinstance(st, LinMap):
-            prepared.append(("m", st))
-        else:
-            prepared.append(("t", _stage_parts(st)))
+    stages = [st if isinstance(st, LinMap) else _stage_parts(st)
+              for st in stages]
+    out = _monomial_composite(dom, cod, stages)
+    return _sparse_composite(dom, cod, stages) if out is None else out
+
+
+def _sparse_composite(dom: Space, cod: Space, stages) -> LinMap:
+    """composite_map column by column on sparse vectors, for any maps."""
     cols = {}
     for j in range(dom.dim):
         vec = {j: _ONE}
-        for kind, st in prepared:
-            vec = st.apply(vec) if kind == "m" else _apply_tensor_stage(st, vec)
+        for st in stages:
+            if isinstance(st, LinMap):
+                vec = st.apply(vec)
+            else:
+                vec = _apply_tensor_stage(st, vec)
             if not vec:
                 break
         if vec:
@@ -425,6 +482,50 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
                 raise DimensionMismatch("composite lands outside codomain")
             cols[j] = vec
     return LinMap(dom, cod, cols)
+
+
+def _monomial_composite(dom: Space, cod: Space, stages):
+    """composite_map on index arrays, or None when a map is not monomial,
+    a stage does not take the previous one's output, or an index range
+    would pass int64.
+
+    Each domain column is one (index, sign) pair.  A stage splits the
+    index into its factors' coordinates, sends each through its map as a
+    gather of targets and signs, and joins them again; a zero column
+    leaves sign 0, so the term drops out as on sparse vectors.
+    """
+    plan = []
+    width = dom.dim
+    for st in stages:
+        parts = [(st.dom.dim, st.cod.dim, st)] if isinstance(st, LinMap) else st
+        if width > _MAX_INDEX or math.prod(p[0] for p in parts) != width:
+            return None
+        step = []
+        for indim, outdim, m in parts:
+            view = None if m is None else m.monomial()
+            if m is not None and view is None:
+                return None
+            step.append((indim, outdim, view))
+        plan.append(step)
+        width = math.prod(p[1] for p in parts)
+    if width > _MAX_INDEX:
+        return None
+    t = np.arange(dom.dim, dtype=np.int64)
+    s = np.ones(dom.dim, dtype=np.int8)
+    for step in plan:
+        coords = []
+        for indim, _, _ in reversed(step[1:]):
+            t, c = np.divmod(t, indim)
+            coords.append(c)
+        coords.append(t)
+        t = 0
+        for (_, outdim, view), c in zip(step, reversed(coords)):
+            if view is not None:
+                c, s = view[0][c], s * view[1][c]
+            t = t * outdim + c
+    if np.any(t[s != 0] >= cod.dim):
+        raise DimensionMismatch("composite lands outside codomain")
+    return LinMap.from_monomial(dom, cod, t, s)
 
 
 # -- elimination ------------------------------------------------------
@@ -485,8 +586,15 @@ class RowReducer:
                 axpy(r, pr, factor, False)
             pivots.append((pr, col))
             in_pivot.add(pr)
-        self.R, self.T, self.pivots = R, T, pivots
-        self._pivot_rows = in_pivot
+        self.R, self.pivots = R, pivots
+        self._pivot_col = dict(pivots)
+        # the transform by column, so a solve reads only the entries of the
+        # columns in its right-hand side's support
+        tcols: dict = {}
+        for r, row in enumerate(T):
+            for c, v in row.items():
+                tcols.setdefault(c, []).append((r, v))
+        self._tcols = tcols
 
     @classmethod
     def of_map(cls, m: LinMap) -> "RowReducer":
@@ -501,27 +609,17 @@ class RowReducer:
 
     def solve_vec(self, b: dict):
         """One solution x of Ax=b with free coordinates 0, or None."""
-        y = {}
-        for r in range(self.nrows):
-            acc = _ZERO
-            tr = self.T[r]
-            if len(tr) < len(b):
-                for c, v in tr.items():
-                    if c in b:
-                        acc += v * b[c]
-            else:
-                for c, v in b.items():
-                    if c in tr:
-                        acc += tr[c] * v
-            if acc:
-                y[r] = acc
+        y: dict = {}
+        for c, v in b.items():
+            for r, w in self._tcols.get(c, ()):
+                y[r] = y.get(r, _ZERO) + w * v
         x = {}
-        for pr, pc in self.pivots:
-            if pr in y:
-                x[pc] = y.pop(pr)
-        if y:
-            return None  # inconsistent rows remain
-        return x
+        for r, v in y.items():
+            if v:
+                if r not in self._pivot_col:
+                    return None  # an inconsistent row remains
+                x[self._pivot_col[r]] = v
+        return dict(sorted(x.items()))
 
     def kernel_columns(self):
         """Deterministic kernel basis: each vector has +1 leading entry."""

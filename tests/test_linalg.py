@@ -11,8 +11,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from hopfforge import linalg
 from hopfforge.errors import ClosureFailure, DimensionMismatch
-from hopfforge.linalg import (LinMap, RowReducer, Space, Subspace,
+from hopfforge.linalg import (SCALAR, LinMap, RowReducer, Space, Subspace,
                               composite_map, flip,
                               full_subspace, iso_map, kernel_basis,
                               left_unitor, rank, rat, right_unitor, solve,
@@ -131,6 +132,121 @@ def test_composite_map_equals_naive_chain():
     got = composite_map(vv, vv, [[f, g], [g, v]])
     want = tensor_map(g, LinMap.identity(v)) @ tensor_map(f, g)
     assert got == want
+
+
+# -- monomial pipelines: index arrays against sparse vectors -------------
+
+
+def _space(d: int) -> Space:
+    return SCALAR if d == 1 else Space([f"e{i}" for i in range(d)])
+
+
+@st.composite
+def _monomial_maps(draw, dom: Space, cod: Space) -> LinMap:
+    """Each column zero or +-1 times one basis vector."""
+    cols = {}
+    for j in range(dom.dim):
+        i = draw(st.integers(-1, cod.dim - 1))    # -1: a zero column
+        if i >= 0:
+            cols[j] = {i: draw(st.sampled_from([1, -1]))}
+    return LinMap(dom, cod, cols)
+
+
+@st.composite
+def _monomial_pipelines(draw):
+    """(dom, cod, stages): plain maps onto fresh factorisations and tensor
+    stages whose parts are maps or identity Spaces, SCALAR among them.
+    The codomain is sometimes one short, so the composite may land
+    outside it."""
+    factor_dims = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    factors = [_space(d) for d in draw(factor_dims)]
+    dom = tensor_space(*factors)
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            parts, new = [], []
+            for f in factors:
+                g = f if draw(st.booleans()) else _space(draw(st.integers(1, 3)))
+                parts.append(f if g is f else draw(_monomial_maps(f, g)))
+                new.append(g)
+            stages.append(parts)
+        else:
+            new = [_space(d) for d in draw(factor_dims)]
+            stages.append(draw(_monomial_maps(tensor_space(*factors),
+                                              tensor_space(*new))))
+        factors = new
+    cod = tensor_space(*factors)
+    if cod.dim > 1 and draw(st.booleans()):
+        cod = Space([f"e{i}" for i in range(cod.dim - 1)])
+    return dom, cod, stages
+
+
+def _spoil(stages):
+    """The stages with their first map's column 0 replaced by 2 e_0, so
+    that map is no longer monomial; None when no stage holds a map."""
+    for k, st_ in enumerate(stages):
+        for p, m in enumerate([st_] if isinstance(st_, LinMap) else st_):
+            if isinstance(m, LinMap):
+                entries = {(i, j): v for i, j, v in m.items() if j != 0}
+                entries[0, 0] = 2
+                bad = LinMap.from_entries(m.dom, m.cod, entries)
+                out = list(stages)
+                out[k] = bad if isinstance(st_, LinMap) else \
+                    st_[:p] + [bad] + st_[p + 1:]
+                return out
+    return None
+
+
+def _sparse_reference(dom, cod, stages):
+    return linalg._sparse_composite(dom, cod, [
+        s if isinstance(s, LinMap) else linalg._stage_parts(s)
+        for s in stages])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_monomial_pipelines(), st.booleans())
+def test_index_arrays_match_sparse_vectors(case, spoil):
+    dom, cod, stages = case
+    if spoil:
+        stages = _spoil(stages) or stages
+    monomial = all(m.monomial() is not None for s in stages
+                   for m in ([s] if isinstance(s, LinMap) else s)
+                   if isinstance(m, LinMap))
+    prepared = [s if isinstance(s, LinMap) else linalg._stage_parts(s)
+                for s in stages]
+    try:
+        want = _sparse_reference(dom, cod, stages)
+    except DimensionMismatch as e:
+        with pytest.raises(DimensionMismatch, match=str(e)):
+            composite_map(dom, cod, stages)
+        return
+    got = linalg._monomial_composite(dom, cod, prepared)
+    assert (got is not None) == monomial
+    if got is None:
+        assert composite_map(dom, cod, stages) == want
+        return
+    assert got == want and list(got.items()) == list(want.items())
+    assert all(type(v) is int for _, _, v in got.items())
+    g, w = got.monomial(), want.monomial()
+    assert (g[0] == w[0]).all() and (g[1] == w[1]).all()
+
+
+def test_monomial_view_refuses_other_values():
+    v = Space(["a", "b"])
+    assert LinMap.from_rows(v, v, [[0, -1], [1, 0]]).monomial() is not None
+    for rows in ([[2, 0], [0, 1]], [[1, 1], [0, 1]], [["1/2", 0], [0, 1]]):
+        assert LinMap.from_rows(v, v, rows).monomial() is None
+
+
+def test_equal_views_short_cut_the_column_scan():
+    v = Space(["a", "b", "c"])
+    m = LinMap.from_rows(v, v, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    twin = LinMap.from_rows(v, v, m.to_rows())
+    other = LinMap.from_rows(v, v, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert m.first_difference(twin) is None
+    m.monomial(), twin.monomial(), other.monomial()
+    assert m.first_difference(twin) is None
+    assert m.first_difference(other) == (1, 0, -1, 1)
 
 
 # -- rank, kernel, inverse: sympy as the independent referee -------------
