@@ -20,7 +20,7 @@ from .errors import (ClosureFailure, CompatibilityFailed, DimensionCapExceeded,
                      SchemaError, UsageError)
 from .linalg import (LinMap, SCALAR, Space, Subspace, composite_map, flip,
                      full_subspace, iso_map, kernel_basis, left_unitor, rank,
-                     right_unitor, solve, tensor_map, tensor_space,
+                     right_unitor, solve, tensor_space,
                      tensor_subspace, try_inverse)
 from .report import Check, Report
 from .hopf import (GroupTable, HopfAlgebra, HopfMorphism, HopfProjection,

@@ -272,7 +272,7 @@ def _cmd_extract_xmod(args) -> Report:
 
 def _cmd_moore_oracle(args) -> Report:
     name = args.builtin
-    if name in ("nerve-c2-id", "nerve-c2-trivial", "nerve-s3-id"):
+    if name and fixtures.builtin_kind(name) == "simplicial":
         _require_allow_large(args, name)
         return moore_group_oracle(fixtures.group_nerve(name),
                                   fixtures.crossed_module(

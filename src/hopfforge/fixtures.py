@@ -70,21 +70,18 @@ def crossed_module(name: str) -> GroupCrossedModule:
     raise UsageError(f"unknown crossed module {name!r}")
 
 
+# nerve-NAME is the nerve of crossed_module(NAME) to this depth; the kernel
+# tower needs levels 0..2, and nerve-s3-id's level 3 would have order 1296
+_NERVE_DEPTHS = {"nerve-c2-id": 3, "nerve-c2-trivial": 3, "nerve-s3-id": 2}
+
+
 @lru_cache(maxsize=None)
 def group_nerve(name: str) -> TruncatedSimplicialGroup:
     """The group-level nerve behind a nerve-* builtin."""
-    if name == "nerve-c2-id":
-        return nerve_of_crossed_module(crossed_module("c2-id"), depth=3,
-                                       name="nerve-c2-id")
-    if name == "nerve-c2-trivial":
-        return nerve_of_crossed_module(crossed_module("c2-trivial"), depth=3,
-                                       name="nerve-c2-trivial")
-    if name == "nerve-s3-id":
-        # depth 2: the kernel tower needs levels 0..2; level 3 would be
-        # order 1296, past any sensible dimension cap
-        return nerve_of_crossed_module(crossed_module("s3-id"), depth=2,
-                                       name="nerve-s3-id")
-    raise UsageError(f"unknown nerve {name!r}")
+    if name not in _NERVE_DEPTHS:
+        raise UsageError(f"unknown nerve {name!r}")
+    return nerve_of_crossed_module(crossed_module(name.removeprefix("nerve-")),
+                                   depth=_NERVE_DEPTHS[name], name=name)
 
 
 def corrupted_c2():

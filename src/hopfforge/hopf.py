@@ -72,6 +72,7 @@ class HopfAlgebra:
         self.counit = counit
         self.antipode = antipode
         self.name = name
+        self._braiding = None
         if rank(antipode) != space.dim:
             raise NonInvertibleAntipode(f"{name}: antipode matrix is singular")
 
@@ -80,7 +81,13 @@ class HopfAlgebra:
         return self.space.dim
 
     def self_braiding(self) -> LinMap:
-        """The braiding of the carrier with itself: the flip in Vect."""
+        """The carrier's braiding with itself, built once and kept."""
+        if self._braiding is None:
+            self._braiding = self._build_braiding()
+        return self._braiding
+
+    def _build_braiding(self) -> LinMap:
+        """The flip in Vect."""
         return flip(self.space, self.space)
 
     def __repr__(self):

@@ -20,6 +20,10 @@ tensor stages instead.  When every map in it is monomial (each column zero
 or a single +-1, as the structure maps, faces and degeneracies of group
 algebras are), the pipeline runs on numpy index arrays, one gather per
 factor; otherwise it runs column by column on sparse vectors.
+
+A ``Subspace`` is its inclusion and a retraction onto its basis; membership,
+corestriction and subspace equality are composites of them and an equality.
+``solve`` and ``try_inverse`` retract onto a reduction of the map's columns.
 """
 
 from __future__ import annotations
@@ -242,9 +246,6 @@ class LinMap:
         """Column as {row: value}; treat the result as read-only."""
         return self._cols.get(j, {})
 
-    def entry(self, i: int, j: int):
-        return self._cols.get(j, {}).get(i, _ZERO)
-
     def items(self):
         """Iterate nonzero entries as (row, col, value)."""
         for j, col in self._cols.items():
@@ -369,10 +370,6 @@ def _monomial_view(m: LinMap):
     targets[js] = idx
     signs[js] = vals
     return targets, signs
-
-
-def tensor_map(f: LinMap, g: LinMap) -> LinMap:
-    return f.tensor(g)
 
 
 def iso_map(dom: Space, cod: Space) -> LinMap:
@@ -532,94 +529,69 @@ def _monomial_composite(dom: Space, cod: Space, stages):
 
 
 class RowReducer:
-    """RREF of a matrix with the reducing transform, built once.
+    """RREF of a list of sparse rows with the reducing transform, built once.
 
-    Rows live as sparse dicts; a column->rows occupancy index keeps
-    elimination near-linear for the permutation-like matrices that
-    group-algebra structure maps produce.
+    ``R[r]`` is reduced row r and ``T[r]`` its coefficients over the input
+    rows.  A column->rows occupancy index keeps elimination near-linear for
+    the permutation-like matrices that group-algebra structure maps
+    produce, and only columns that hold an entry are visited.
     """
 
     def __init__(self, rows, ncols: int):
         self.ncols = ncols
-        self.nrows = len(rows)
         R = [dict(r) for r in rows]
-        T = [{i: _ONE} for i in range(self.nrows)]
+        T = [{i: _ONE} for i in range(len(R))]
         occ: dict = {}
         for ri, row in enumerate(R):
             for c in row:
                 occ.setdefault(c, set()).add(ri)
 
-        def axpy(dst_idx, src_idx, factor, track):
-            dst, src = (R[dst_idx], R[src_idx]) if track else (T[dst_idx], T[src_idx])
+        def axpy(dst, src, factor, row=None):
+            """dst -= factor * src, keeping occ current when dst is R[row]."""
             for c, v in src.items():
                 nv = dst.get(c, _ZERO) - factor * v
                 if nv:
-                    if track and c not in dst:
-                        occ.setdefault(c, set()).add(dst_idx)
+                    if row is not None and c not in dst:
+                        occ[c].add(row)
                     dst[c] = nv
-                else:
-                    if c in dst:
-                        del dst[c]
-                        if track:
-                            occ[c].discard(dst_idx)
+                elif c in dst:
+                    del dst[c]
+                    if row is not None:
+                        occ[c].discard(row)
 
         pivots = []
         in_pivot = set()
-        for col in range(ncols):
-            rows_here = occ.get(col)
-            if not rows_here:
+        # fill-in only reaches columns some row already holds, so the
+        # occupied columns are all known before elimination starts
+        for col in sorted(occ):
+            pr = min((r for r in occ[col] if r not in in_pivot), default=None)
+            if pr is None:
                 continue
-            cand = [r for r in rows_here if r not in in_pivot]
-            if not cand:
-                continue
-            pr = min(cand)
             pv = R[pr][col]
             if pv != 1:
                 inv = _div(_ONE, pv)
                 R[pr] = {c: inv * v for c, v in R[pr].items()}
                 T[pr] = {c: inv * v for c, v in T[pr].items()}
-            for r in list(rows_here):
+            for r in list(occ[col]):
                 if r == pr:
                     continue
                 factor = R[r][col]
-                axpy(r, pr, factor, True)
-                axpy(r, pr, factor, False)
+                axpy(R[r], R[pr], factor, r)
+                axpy(T[r], T[pr], factor)
             pivots.append((pr, col))
             in_pivot.add(pr)
-        self.R, self.pivots = R, pivots
-        self._pivot_col = dict(pivots)
-        # the transform by column, so a solve reads only the entries of the
-        # columns in its right-hand side's support
-        tcols: dict = {}
-        for r, row in enumerate(T):
-            for c, v in row.items():
-                tcols.setdefault(c, []).append((r, v))
-        self._tcols = tcols
-
-    @classmethod
-    def of_map(cls, m: LinMap) -> "RowReducer":
-        rows = [dict() for _ in range(m.cod.dim)]
-        for i, j, v in m.items():
-            rows[i][j] = v
-        return cls(rows, m.dom.dim)
+        self.R, self.T, self.pivots = R, T, pivots
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def solve_vec(self, b: dict):
-        """One solution x of Ax=b with free coordinates 0, or None."""
-        y: dict = {}
-        for c, v in b.items():
-            for r, w in self._tcols.get(c, ()):
-                y[r] = y.get(r, _ZERO) + w * v
-        x = {}
-        for r, v in y.items():
-            if v:
-                if r not in self._pivot_col:
-                    return None  # an inconsistent row remains
-                x[self._pivot_col[r]] = v
-        return dict(sorted(x.items()))
+    def retraction(self, dom: Space, cod: Space) -> LinMap:
+        """dom -> cod, v in the row span to x with v == sum_k x[k] rows[k].
+
+        It reads v only at pivot columns, so callers check by mapping back;
+        input rows that reduce to zero get coordinate 0."""
+        return LinMap(dom, cod, {c: self.T[r] for r, c in self.pivots})
 
     def kernel_columns(self):
         """Deterministic kernel basis: each vector has +1 leading entry."""
@@ -642,45 +614,48 @@ class RowReducer:
         return [vec for _, _, vec in out]
 
 
+def _row_reduction(m: LinMap) -> RowReducer:
+    """RowReducer of the nonzero rows of m."""
+    rows: dict = {}
+    for i, j, v in m.items():
+        rows.setdefault(i, {})[j] = v
+    return RowReducer(list(rows.values()), m.dom.dim)
+
+
 def rank(m: LinMap) -> int:
-    return RowReducer.of_map(m).rank
+    return _row_reduction(m).rank
 
 
 def solve(a: LinMap, b: LinMap):
-    """X with a @ X == b (free coordinates zero), or None if unsolvable."""
+    """X with a @ X == b, or None if unsolvable.
+
+    X is the retraction of a reduction of a's columns applied to b, so a
+    column of a that the reduction finds dependent gets coordinate zero.
+    """
     if a.cod != b.cod:
         raise DimensionMismatch("solve: codomains differ")
-    red = RowReducer.of_map(a)
-    cols = {}
-    for j in range(b.dom.dim):
-        col = b.column(j)
-        if not col:
-            continue
-        x = red.solve_vec(col)
-        if x is None:
-            return None
-        if x:
-            cols[j] = x
-    return LinMap(b.dom, a.dom, cols)
+    red = RowReducer([a.column(j) for j in range(a.dom.dim)], a.cod.dim)
+    x = red.retraction(a.cod, a.dom) @ b
+    return x if a @ x == b else None
 
 
 def try_inverse(m: LinMap):
     """Exact inverse, or None when singular (or not square)."""
     if m.dom.dim != m.cod.dim:
         return None
-    red = RowReducer.of_map(m)
-    if red.rank != m.dom.dim:
-        return None
-    return LinMap(m.cod, m.dom, {j: red.solve_vec({j: _ONE})
-                                 for j in range(m.dom.dim)})
+    return solve(m, LinMap.identity(m.cod))
 
 
 class Subspace:
-    """A subspace given by its inclusion into an ambient space.
+    """A subspace as its inclusion into an ambient space and a retraction.
 
-    The carrier gets its own Space: a basis column that is a plain unit
-    vector inherits the ambient label, anything else is named b0, b1, ...
-    in basis order.
+    ``retraction @ inclusion`` is the identity, and an ambient vector lies
+    in the subspace exactly when ``inclusion @ retraction`` fixes it, so
+    each question about the subspace is a composite and an equality.  The
+    carrier gets its own Space: a basis column that is a plain unit vector
+    inherits the ambient label, any other is ``name`` and its index (sub0,
+    sub1, ... by default).  A zero-dimensional subspace (the kernel of an injective
+    map) has no carrier and no maps: all three are None.
     """
 
     def __init__(self, ambient: Space, columns, name: str = "sub",
@@ -689,63 +664,66 @@ class Subspace:
         cols = [{i: v for i, v in c.items() if v} for c in columns]
         if carrier is not None and carrier.dim != len(cols):
             raise DimensionMismatch("subspace carrier has the wrong dimension")
-        labels = []
-        for k, c in enumerate(cols):
-            if len(c) == 1:
-                ((i, v),) = c.items()
-                if v == 1:
-                    labels.append(ambient.label(i))
-                    continue
-            labels.append(f"{name}{k}")
-        if cols:
-            self.space = carrier if carrier is not None else Space(labels)
-            self.inclusion = LinMap(self.space, ambient,
-                                    {j: c for j, c in enumerate(cols)})
-            self._reducer = RowReducer.of_map(self.inclusion)
-            if self._reducer.rank != len(cols):
-                raise ValueError("subspace columns are dependent")
-        else:
-            # dim-0 subspaces do not occur for the objects we build (every
-            # kernel of interest contains the unit); keep a marker anyway
-            self.space = None
-            self.inclusion = None
-            self._reducer = None
+        self.space = self.inclusion = self.retraction = None
+        if not cols:
+            return
+        if carrier is None:
+            carrier = Space([ambient.label(next(iter(c)))
+                             if list(c.values()) == [1] else f"{name}{k}"
+                             for k, c in enumerate(cols)])
+        self.space = carrier
+        self.inclusion = LinMap(carrier, ambient, dict(enumerate(cols)))
+        red = RowReducer(cols, ambient.dim)
+        if red.rank != len(cols):
+            raise ValueError("subspace columns are dependent")
+        self.retraction = red.retraction(ambient, carrier)
+
+    @classmethod
+    def _of_maps(cls, inclusion: LinMap, retraction: LinMap) -> "Subspace":
+        """The subspace with these two maps, taken as given."""
+        out = cls.__new__(cls)
+        out.ambient, out.space = inclusion.cod, inclusion.dom
+        out.inclusion, out.retraction = inclusion, retraction
+        return out
 
     @property
     def dim(self) -> int:
         return 0 if self.space is None else self.space.dim
 
+    def _retract(self, m: LinMap):
+        """(retraction @ m or None at dim 0, first column of m outside or None)"""
+        if m.cod != self.ambient:
+            raise DimensionMismatch("codomain is not the ambient space")
+        if self.space is None:
+            return None, min(m._cols, default=None)
+        x = self.retraction @ m
+        diff = (self.inclusion @ x).first_difference(m)
+        return x, None if diff is None else diff[1]
+
+    def first_outside(self, m: LinMap):
+        """The first column of m: X -> ambient outside the subspace, or None."""
+        return self._retract(m)[1]
+
     def contains_vector(self, vec: dict) -> bool:
-        if not vec:
-            return True
-        if self._reducer is None:
-            return False
-        return self._reducer.solve_vec(vec) is not None
+        column = LinMap(SCALAR, self.ambient, {0: vec})
+        return self.first_outside(column) is None
 
     def corestrict(self, m: LinMap, what: str = "map") -> LinMap:
         """Rewrite m: X -> ambient as X -> carrier; ClosureFailure if it escapes."""
-        if m.cod != self.ambient:
-            raise DimensionMismatch("corestrict: codomain is not the ambient space")
-        cols = {}
-        for j in range(m.dom.dim):
-            col = m.column(j)
-            if not col:
-                continue
-            x = self._reducer.solve_vec(col)
-            if x is None:
-                raise ClosureFailure(
-                    f"{what}: image of basis vector {m.dom.label(j)!r} "
-                    f"is not in the subspace")
-            if x:
-                cols[j] = x
-        return LinMap(m.dom, self.space, cols)
+        x, bad = self._retract(m)
+        if bad is not None:
+            raise ClosureFailure(
+                f"{what}: image of basis vector {m.dom.label(bad)!r} "
+                f"is not in the subspace")
+        if x is None:
+            raise ClosureFailure(f"{what}: the subspace is zero-dimensional")
+        return x
 
     def equals(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise DimensionMismatch("subspaces of different spaces")
-        return self.dim == other.dim and all(
-            self.contains_vector(other.inclusion.column(j))
-            for j in range(other.dim))
+        return self.dim == other.dim and (
+            other.dim == 0 or self.first_outside(other.inclusion) is None)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient!r})"
@@ -753,14 +731,13 @@ class Subspace:
 
 def kernel_basis(m: LinMap) -> Subspace:
     """ker(m) as a Subspace of dom(m), deterministic reduced basis."""
-    red = RowReducer.of_map(m)
-    return Subspace(m.dom, red.kernel_columns())
+    return Subspace(m.dom, _row_reduction(m).kernel_columns())
 
 
 def full_subspace(space: Space) -> Subspace:
     """The whole space viewed as a subspace of itself (identity inclusion)."""
-    return Subspace(space, [{i: _ONE} for i in range(space.dim)],
-                    carrier=space)
+    ident = LinMap.identity(space)
+    return Subspace._of_maps(ident, ident)
 
 
 def tensor_subspace(a: Subspace, b: Subspace) -> Subspace:
@@ -768,8 +745,7 @@ def tensor_subspace(a: Subspace, b: Subspace) -> Subspace:
 
     Basis order is a-major, matching tensor_space index encoding, so
     corestricting into the result lines up with maps into the carriers'
-    tensor space.
+    tensor space.  Both maps are tensor products of the factors' maps.
     """
-    t = a.inclusion.tensor(b.inclusion)
-    return Subspace(t.cod, [t.column(j) for j in range(t.dom.dim)],
-                    carrier=t.dom)
+    return Subspace._of_maps(a.inclusion.tensor(b.inclusion),
+                             a.retraction.tensor(b.retraction))

@@ -636,9 +636,7 @@ def peiffer_pairing(t: TruncatedSimplicialHopf,
     closed = _peiffer_closed_form(t, pipe)
     rep = Report(f"peiffer-pairing {t.name}")
     rep.equality("closed-form-matches-composite", closed, composite)
-    bad = next((j for j in range(dom.dim)
-                if not pipe.a221.in_ambient.contains_vector(closed.column(j))),
-               None)
+    bad = pipe.a221.in_ambient.first_outside(closed)
     rep.add("image-in-nested-kernel", bad is None,
             witness=None if bad is None else {"col": dom.label(bad)})
     counits = pipe.a100.braided.counit
@@ -777,10 +775,10 @@ def check_restriction(m: LinMap, src: Subspace, dst: Subspace):
     """Does m carry src into dst?  Returns (ok, witness-or-None)."""
     if m.dom != src.ambient or m.cod != dst.ambient:
         raise DimensionMismatch("check_restriction: spaces do not line up")
-    for j in range(src.dim):
-        if not dst.contains_vector(m.apply(src.inclusion.column(j))):
-            return False, {"basis": src.space.label(j)}
-    return True, None
+    bad = None if src.dim == 0 else dst.first_outside(m @ src.inclusion)
+    if bad is None:
+        return True, None
+    return False, {"basis": src.space.label(bad)}
 
 
 def level3_restriction_probe(t: TruncatedSimplicialHopf,

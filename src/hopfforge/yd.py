@@ -182,17 +182,13 @@ class BraidedHopfAlgebra(HopfAlgebra):
                 "supported: only a single biproduct iteration is possible")
         self.carrier = carrier
         self.over = carrier.over
-        self._rprime = None
         super().__init__(carrier.space, mul, unit, comul, counit, antipode,
                          name=name)
 
-    def self_braiding(self) -> LinMap:
-        """R' of the carrier with itself, built and checked invertible on
-        first use and kept; a singular one raises NonInvertibleBraiding
-        each time."""
-        if self._rprime is None:
-            self._rprime = yd_braiding(self.carrier, self.carrier)
-        return self._rprime
+    def _build_braiding(self) -> LinMap:
+        """R' of the carrier with itself, checked invertible; a singular
+        one raises NonInvertibleBraiding, so is never kept."""
+        return yd_braiding(self.carrier, self.carrier)
 
     def __repr__(self):
         return f"BraidedHopfAlgebra({self.name} in YD({self.over.name}))"

@@ -17,7 +17,8 @@ from hopfforge.linalg import (SCALAR, LinMap, RowReducer, Space, Subspace,
                               composite_map, flip,
                               full_subspace, iso_map, kernel_basis,
                               left_unitor, rank, rat, right_unitor, solve,
-                              tensor_map, tensor_space, try_inverse)
+                              tensor_space, tensor_subspace, try_inverse)
+from hopfforge.simplicial import check_restriction
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
@@ -92,20 +93,20 @@ def test_tensor_entry_is_product():
     v = Space(["a", "b"])
     f = LinMap.from_rows(v, v, [[1, 2], [3, 4]])
     g = LinMap.from_rows(v, v, [[5, 6], [7, 8]])
-    fg = tensor_map(f, g)
+    fg = f.tensor(g)
     for i1 in range(2):
         for i2 in range(2):
             for j1 in range(2):
                 for j2 in range(2):
-                    assert fg.entry(2 * i1 + i2, 2 * j1 + j2) == \
-                        f.entry(i1, j1) * g.entry(i2, j2)
+                    assert fg.column(2 * j1 + j2).get(2 * i1 + i2, 0) == \
+                        f.column(j1).get(i1, 0) * g.column(j2).get(i2, 0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(maps_2x3, maps_2x3, square_3, square_3)
 def test_tensor_respects_composition(f, g, a, b):
     # (f (x) g)(a (x) b) == fa (x) gb
-    assert tensor_map(f, g) @ tensor_map(a, b) == tensor_map(f @ a, g @ b)
+    assert f.tensor(g) @ a.tensor(b) == (f @ a).tensor(g @ b)
 
 
 def test_flip_involution():
@@ -130,7 +131,7 @@ def test_composite_map_equals_naive_chain():
     g = LinMap.from_rows(v, v, [[2, 0], [0, "1/2"]])
     vv = tensor_space(v, v)
     got = composite_map(vv, vv, [[f, g], [g, v]])
-    want = tensor_map(g, LinMap.identity(v)) @ tensor_map(f, g)
+    want = g.tensor(LinMap.identity(v)) @ f.tensor(g)
     assert got == want
 
 
@@ -353,6 +354,93 @@ def test_subspace_equality_tells_equal_dimensions_apart():
     assert not s1.equals(Subspace(v, [{0: 1}]))
     with pytest.raises(DimensionMismatch):
         s1.equals(Subspace(Space(["x", "y", "z"]), [{0: 1}, {1: 1}]))
+
+
+# non-unit pivots, so the reduction divides on every basis vector
+pivots = st.sampled_from([2, -3, Fraction(1, 2), Fraction(-5, 3), 7])
+
+
+@st.composite
+def _subspace_and_map(draw):
+    """A subspace of Q^4 and a map into Q^4 whose columns are members
+    (combinations of the basis) or arbitrary vectors.
+
+    The basis is an echelon form with non-unit pivots, mixed by a
+    unitriangular change of basis and shuffled, so it is independent but
+    not itself reduced."""
+    n = 4
+    amb = Space([f"e{i}" for i in range(n)])
+    piv = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+    rows = []
+    for p in piv:
+        row = [0] * n
+        row[p] = draw(pivots)
+        for c in range(p + 1, n):
+            row[c] = draw(rationals)
+        rows.append(row)
+    for r in range(len(rows)):
+        for s in range(r + 1, len(rows)):
+            c = draw(rationals)
+            rows[r] = [x + c * y for x, y in zip(rows[r], rows[s])]
+    rows = draw(st.permutations(rows))
+    cols = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            cs = [draw(rationals) for _ in rows]
+            cols.append([sum(c * r[i] for c, r in zip(cs, rows))
+                         for i in range(n)])
+        else:
+            cols.append([draw(rationals) for _ in range(n)])
+    basis = [{i: x for i, x in enumerate(r) if x} for r in rows]
+    m = LinMap.from_rows(Space(["x", "y", "z"]), amb,
+                         [[c[i] for c in cols] for i in range(n)])
+    return Subspace(amb, basis), m, sympy.Matrix(rows).T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_subspace_and_map())
+def test_subspace_retraction_membership_and_escape_match_sympy(case):
+    sub, m, basis = case
+    assert sub.retraction @ sub.inclusion == LinMap.identity(sub.space)
+    target = to_sympy(m)
+    inside = [basis.row_join(target[:, j]).rank() == sub.dim
+              for j in range(m.dom.dim)]
+    assert [sub.contains_vector(m.column(j))
+            for j in range(m.dom.dim)] == inside
+    if all(inside):
+        assert sub.inclusion @ sub.corestrict(m) == m
+    else:
+        label = m.dom.label(inside.index(False))
+        with pytest.raises(ClosureFailure, match=f"'{label}'"):
+            sub.corestrict(m)
+
+
+def test_zero_dimensional_subspace_keeps_its_answers():
+    v = Space(["a", "b"])
+    injective = LinMap.from_rows(v, Space(["p", "q", "r"]),
+                                 [[1, 0], [0, 2], [1, 1]])
+    zero, whole = kernel_basis(injective), full_subspace(v)
+    assert zero.dim == 0 and zero.space is None
+    assert zero.contains_vector({}) and not zero.contains_vector({1: 3})
+    assert zero.equals(kernel_basis(injective))
+    assert not zero.equals(whole) and not whole.equals(zero)
+    m = LinMap.from_rows(v, v, [[0, 0], [0, 5]])
+    assert zero.first_outside(m) == 1
+    assert check_restriction(m, zero, whole) == (True, None)
+    assert check_restriction(m, whole, zero) == (False, {"basis": "b"})
+    with pytest.raises(ClosureFailure, match="'b'"):
+        zero.corestrict(m)
+    with pytest.raises(ClosureFailure, match="zero-dimensional"):
+        zero.corestrict(LinMap.zero(v, v))
+
+
+def test_tensor_subspace_maps_are_tensor_products():
+    v = Space(["a", "b", "c"])
+    s = Subspace(v, [{0: 2, 1: 1}, {2: Fraction(1, 3)}])
+    t = tensor_subspace(s, s)
+    assert t.retraction @ t.inclusion == LinMap.identity(t.space)
+    assert t.equals(Subspace(t.ambient, [t.inclusion.column(j)
+                                         for j in range(t.dim)]))
 
 
 def test_difference_of_a_map_with_itself_is_zero():

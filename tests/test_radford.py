@@ -13,7 +13,7 @@ from conftest import convolution_antipode
 from hopfforge import fixtures
 from hopfforge.errors import ClosureFailure
 from hopfforge.hopf import check_hopf, zero_morphism
-from hopfforge.linalg import LinMap, composite_map, full_subspace, tensor_map
+from hopfforge.linalg import LinMap, composite_map, full_subspace
 from hopfforge.radford import (bosonisation, checked_generators,
                                induced_braided_hopf, kernel_generators,
                                kernel_sides_agree, radford_iso, rker)
@@ -68,9 +68,9 @@ def test_generator_identities(pname):
     sub = rker(p.proj, "right")
     assert f @ sub.inclusion == sub.inclusion
     # f * g == zeta and f * (i par) == id in the convolution monoid
-    assert h.mul @ tensor_map(f, g) @ h.comul == h.unit @ h.counit
+    assert h.mul @ f.tensor(g) @ h.comul == h.unit @ h.counit
     ipar = p.incl.lin @ p.proj.lin
-    assert h.mul @ tensor_map(f, ipar) @ h.comul == ident
+    assert h.mul @ f.tensor(ipar) @ h.comul == ident
 
 
 # -- the induced braided Hopf structure --------------------------------------

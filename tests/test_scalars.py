@@ -60,8 +60,8 @@ def test_linmap_normalises_what_arithmetic_produces():
     v = Space(["a", "b"])
     m = LinMap(v, v, {0: {0: Fraction(2, 2), 1: Fraction(0)},
                       1: {1: Fraction(1, 2) * 4, 0: "3/6"}})
-    assert m.column(0) == {0: 1} and type(m.entry(0, 0)) is int
-    assert type(m.entry(1, 1)) is int and m.entry(0, 1) == Fraction(1, 2)
+    assert m.column(0) == {0: 1} and type(m.column(0)[0]) is int
+    assert type(m.column(1)[1]) is int and m.column(1)[0] == Fraction(1, 2)
     with pytest.raises(TypeError):
         LinMap(v, v, {0: {0: 0.0}})
 
@@ -72,8 +72,8 @@ def test_linmap_normalises_what_arithmetic_produces():
 def test_inverse_of_int_pivot_is_exact():
     v = Space(["a"])
     inv = try_inverse(LinMap.from_rows(v, v, [[2]]))
-    assert inv.entry(0, 0) == Fraction(1, 2)
-    assert type(inv.entry(0, 0)) is Fraction and _normal(inv)
+    assert inv.column(0)[0] == Fraction(1, 2)
+    assert type(inv.column(0)[0]) is Fraction and _normal(inv)
 
 
 @pytest.mark.parametrize("row, want", [
@@ -83,7 +83,7 @@ def test_kernel_of_int_row_is_exact(row, want):
     m = LinMap.from_rows(Space(["a", "b"]), Space(["r"]), [row])
     incl = kernel_basis(m).inclusion
     assert incl.column(0) == {0: 1, 1: want}
-    assert type(incl.entry(1, 0)) is Fraction and _normal(incl)
+    assert type(incl.column(0)[1]) is Fraction and _normal(incl)
 
 
 # -- every builtin is stored in normal form -----------------------------------

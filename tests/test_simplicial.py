@@ -13,7 +13,7 @@ from hopfforge import fixtures
 from hopfforge.errors import DimensionMismatch, InvalidGroup
 from hopfforge.hopf import (GroupTable, HopfMorphism, cyclic_group,
                             group_algebra)
-from hopfforge.linalg import LinMap
+from hopfforge.linalg import LinMap, RowReducer
 from hopfforge.simplicial import (TruncatedSimplicialGroup,
                                   TruncatedSimplicialHopf, check_fg_commutation,
                                   check_twisted, constant_simplicial_hopf,
@@ -245,6 +245,23 @@ def test_level3_restriction_probe(nerve_c2_id):
     assert by_name["d3-restricts"].status == "pass"
     # not asserted in general, only recorded
     assert by_name["s2-restricts"].status == "info"
+
+
+def test_tower_reduces_few_rows(nerve_c2_id, monkeypatch):
+    # a subspace reduces its basis vectors and a kernel the nonzero rows
+    # of its map, never one row per ambient coordinate
+    real = RowReducer.__init__
+    rows = []
+
+    def counting(self, r, ncols):
+        rows.append(len(r))
+        real(self, r, ncols)
+
+    monkeypatch.setattr(RowReducer, "__init__", counting)
+    pipe = dim2_pipeline(nerve_c2_id)
+    peiffer_pairing(nerve_c2_id, pipe)
+    extract_xmod(nerve_c2_id, pipe)
+    assert sum(rows) <= 120, rows
 
 
 # -- the group-level oracle ---------------------------------------------------

@@ -13,7 +13,7 @@ from hopfforge import fixtures, yd
 from hopfforge.errors import (CompatibilityFailed, NestingError,
                               NonInvertibleBraiding)
 from hopfforge.hopf import HopfAlgebra, adjoint_action, group_algebra
-from hopfforge.linalg import LinMap, flip, tensor_map, tensor_space, try_inverse
+from hopfforge.linalg import LinMap, flip, tensor_space, try_inverse
 from hopfforge.yd import (BraidedHopfAlgebra, YDModule, check_braided_hopf,
                           check_yd, projection_yd, self_yd_module,
                           smash_product, trivial_yd, yd_braiding,
@@ -124,8 +124,14 @@ def test_singular_rprime_stops_check_braided_hopf(quantum_line):
     status = {ch.name: ch.status for ch in rep.checks}
     assert status["braiding-invertible"] == "fail"
     assert rep.checks[-1].name == "braiding-invertible"
-    with pytest.raises(NonInvertibleBraiding):
-        bad.self_braiding()
+    for _ in range(2):      # never kept, so every call raises
+        with pytest.raises(NonInvertibleBraiding):
+            bad.self_braiding()
+
+
+def test_self_braiding_is_built_once(sweedler, quantum_line):
+    for h in (sweedler, quantum_line.braided):
+        assert h.self_braiding() is h.self_braiding()
 
 
 def test_nesting_beyond_one_braided_level_refused(quantum_line):
@@ -156,8 +162,8 @@ def _hexagons_hold(u, v, w):
     idu = LinMap.identity(u.space)
     idv = LinMap.identity(v.space)
     idw = LinMap.identity(w.space)
-    hex1 = tensor_map(idv, ruw) @ tensor_map(ruv, idw)
-    hex2 = tensor_map(ruw, idv) @ tensor_map(idu, rvw)
+    hex1 = idv.tensor(ruw) @ ruv.tensor(idw)
+    hex2 = ruw.tensor(idv) @ idu.tensor(rvw)
     return (r_u_vw.to_rows() == hex1.to_rows()
             and r_uv_w.to_rows() == hex2.to_rows())
 
