@@ -21,7 +21,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path.write_text(text)
 
     # reload and confirm the parse is exact
-    again = io.parse_definition(str(path)).value
+    again = io.parse_definition(str(path))
     assert io.dump_json(io.serialize(again)) == text
     print("round trip: byte-identical")
 
@@ -32,4 +32,4 @@ with tempfile.TemporaryDirectory() as tmp:
     doc["big"] = {"builtin": "s3"}
     doc["small"] = {"builtin": "c2"}
     print(f"with builtin refs: {len(io.dump_json(doc))} bytes")
-    assert io.parse_definition(doc).value.big.dim == 6
+    assert io.parse_definition(doc).big.dim == 6

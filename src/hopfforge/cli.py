@@ -116,7 +116,7 @@ def _load(args, kind: str):
         _require_allow_large(args, args.builtin)
         obj = fixtures.builtin_raw(args.builtin)
     elif args.input:
-        obj = io.parse_definition(args.input).value
+        obj = io.parse_definition(args.input)
     else:
         raise UsageError("choose an object with --builtin NAME or --input PATH")
     conversions, hint = _KINDS[kind]
@@ -167,14 +167,14 @@ def _basis_label(space, col) -> str:
 def _cmd_kernel_generators(args) -> Report:
     p = _load(args, "projection")
     rep = Report(f"kernel-generators {p.name}")
-    gen = kernel_generators(p)   # raises ClosureFailure when identities break
+    f, g = kernel_generators(p)   # raises ClosureFailure when identities break
     I, big = p.big.space, p.big
     rep.add("f-idempotent", True)   # kernel_generators enforced it
     rep.add("g-absorbs-f", True)
     sub = rker(p.proj, "right")
-    rep.equality("f-fixes-kernel", gen.f @ sub.inclusion, sub.inclusion)
+    rep.equality("f-fixes-kernel", f @ sub.inclusion, sub.inclusion)
     rep.equality("f-g-convolution-is-unit",
-                 composite_map(I, I, [big.comul, [gen.f, gen.g], big.mul]),
+                 composite_map(I, I, [big.comul, [f, g], big.mul]),
                  big.unit @ big.counit)
     rep.add("f-ipar-convolution-is-identity", True)   # enforced too
     rep.derived["dim_kernel"] = sub.dim
@@ -215,7 +215,7 @@ def _cmd_pushforward(args) -> Report:
     # for: the Radford kernel with its induced structure.
     p = _load(args, "projection")
     small_mod = induced_braided_hopf(p).braided.carrier
-    pushed = yd_pushforward(p, small_mod, name=f"{small_mod.name}^")
+    pushed = yd_pushforward(p, small_mod)
     rep = Report(f"pushforward {p.name}")
     rep.extend(check_yd(pushed))
     rep.equality("braiding-preserved",

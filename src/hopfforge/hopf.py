@@ -276,15 +276,14 @@ class GroupTable:
             if not np.array_equal(t[rows, :], rows[:, t]):
                 raise InvalidGroup(f"{name}: multiplication is not associative")
         idn = np.arange(n)
-        e_candidates = [e for e in range(n)
-                        if np.array_equal(t[e], idn) and np.array_equal(t[:, e], idn)]
-        if not e_candidates:
+        e_candidates = np.flatnonzero((t == idn).all(axis=1) &
+                                      (t == idn[:, None]).all(axis=0))
+        if not e_candidates.size:
             raise InvalidGroup(f"{name}: no identity element")
-        self.identity = e_candidates[0]
+        self.identity = int(e_candidates[0])
         inv = np.full(n, -1, dtype=np.int64)
         rows, cols = np.nonzero(t == self.identity)
-        for r, c in zip(rows, cols):
-            inv[r] = c
+        inv[rows] = cols
         if (inv < 0).any() or not np.array_equal(t[idn, inv], np.full(n, self.identity)):
             raise InvalidGroup(f"{name}: missing inverses")
         self.table = t
@@ -309,12 +308,12 @@ def trivial_group() -> GroupTable:
     return GroupTable(("1",), [[0]], name="1")
 
 
-def cyclic_group(n: int, name=None) -> GroupTable:
+def cyclic_group(n: int) -> GroupTable:
     if n == 1:
         return trivial_group()
     labels = ["1", "g"] + [f"g{k}" for k in range(2, n)]
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return GroupTable(labels, table, name=name or f"C{n}")
+    return GroupTable(labels, table, name=f"C{n}")
 
 
 _S3_PERMS = [
@@ -348,18 +347,16 @@ def s3_sign_indices() -> list:
 
 
 def semidirect_product(m: GroupTable, n: GroupTable, action,
-                       name=None, label=None) -> GroupTable:
+                       name=None) -> GroupTable:
     """M x| N with (m,n)(m',n') = (m * (n |> m'), n n').
 
     ``action[j][i]`` is the index of n_j |> m_i, an automorphism action of
-    N on M.  Elements are ordered m-major; labels default to "(m,n)".
+    N on M.  Elements are ordered m-major and labelled "(m,n)".
     """
     act = np.asarray(action, dtype=np.int64)
     if act.shape != (n.order, m.order):
         raise InvalidGroup("semidirect: action table has wrong shape")
-    if label is None:
-        label = lambda ml, nl: f"({ml},{nl})"
-    labels = [label(m.labels[i], n.labels[j])
+    labels = [f"({m.labels[i]},{n.labels[j]})"
               for i in range(m.order) for j in range(n.order)]
     idx = np.arange(m.order * n.order)
     ms, ns = idx // n.order, idx % n.order
@@ -386,9 +383,8 @@ def check_group_hom(src: GroupTable, dst: GroupTable, images) -> bool:
 # -- Hopf algebras from the shelf -------------------------------------
 
 
-def group_algebra(g: GroupTable, name=None) -> HopfAlgebra:
+def group_algebra(g: GroupTable) -> HopfAlgebra:
     """k[G]: basis = group elements, comul diagonal, antipode by inverse."""
-    name = name or f"k[{g.name}]"
     space = Space(g.labels)
     n = g.order
     sq = tensor_space(space, space)
@@ -397,7 +393,8 @@ def group_algebra(g: GroupTable, name=None) -> HopfAlgebra:
     comul = LinMap.from_monomial(space, sq, np.arange(n) * (n + 1))
     counit = LinMap.from_rows(space, SCALAR, [[1] * n])
     antipode = LinMap.from_monomial(space, space, g.inverse)
-    return HopfAlgebra(space, mul, unit, comul, counit, antipode, name=name)
+    return HopfAlgebra(space, mul, unit, comul, counit, antipode,
+                       name=f"k[{g.name}]")
 
 
 def linearize_group_hom(src: HopfAlgebra, dst: HopfAlgebra, images,

@@ -27,7 +27,6 @@ document kind is inferred from its keys; parse errors carry the JSON
 path of the first offending value.
 """
 
-from dataclasses import dataclass
 import json
 
 from .errors import ParseError, SchemaError
@@ -329,13 +328,20 @@ def simplicial_to_json(t: TruncatedSimplicialHopf) -> dict:
     }
 
 
-_SERIALIZERS = (
-    (HopfAlgebra, hopf_to_json),
-    (GroupTable, group_to_json),
-    (YDModule, yd_to_json),
-    (HopfProjection, projection_to_json),
-    (GroupCrossedModule, crossed_module_to_json),
-    (TruncatedSimplicialHopf, simplicial_to_json),
+# -- documents ----------------------------------------------------------
+
+
+# (distinguishing key, kind, class, reader, writer), in detection order
+_KIND_KEYS = (
+    ("mul", "hopf", HopfAlgebra, hopf_from_json, hopf_to_json),
+    ("table", "group", GroupTable, group_from_json, group_to_json),
+    ("boundary", "crossed_module", GroupCrossedModule,
+     crossed_module_from_json, crossed_module_to_json),
+    ("proj", "projection", HopfProjection, projection_from_json,
+     projection_to_json),
+    ("coaction", "yd_module", YDModule, yd_from_json, yd_to_json),
+    ("levels", "simplicial", TruncatedSimplicialHopf, simplicial_from_json,
+     simplicial_to_json),
 )
 
 
@@ -343,36 +349,16 @@ def serialize(obj) -> dict:
     # A hopf document has no slot for R', so a braided algebra written
     # as one would read back as a different (Vect) Hopf algebra.
     if not isinstance(obj, BraidedHopfAlgebra):
-        for cls, fn in _SERIALIZERS:
+        for _, _, cls, _, writer in _KIND_KEYS:
             if isinstance(obj, cls):
-                return fn(obj)
+                return writer(obj)
     raise SchemaError(f"no JSON form for {type(obj).__name__}")
-
-
-# -- documents ----------------------------------------------------------
-
-
-_KIND_KEYS = (
-    ("mul", "hopf", hopf_from_json),
-    ("table", "group", group_from_json),
-    ("boundary", "crossed_module", crossed_module_from_json),
-    ("proj", "projection", projection_from_json),
-    ("coaction", "yd_module", yd_from_json),
-    ("levels", "simplicial", simplicial_from_json),
-)
-
-
-@dataclass
-class DefinitionDocument:
-    """A validated input document: its kind and built value."""
-    kind: str
-    value: object
 
 
 def detect_kind(doc: dict, path: str = "$") -> str:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object at the top level")
-    for key, kind, _ in _KIND_KEYS:
+    for key, kind, *_ in _KIND_KEYS:
         if key in doc:
             return kind
     if "builtin" in doc:
@@ -380,12 +366,12 @@ def detect_kind(doc: dict, path: str = "$") -> str:
         return fixtures.builtin_kind(doc["builtin"])
     raise SchemaError(
         f"{path}: cannot tell what this document defines; expected one of "
-        f"the keys {', '.join(k for k, _, _ in _KIND_KEYS)} or \"builtin\"")
+        f"the keys {', '.join(k for k, *_ in _KIND_KEYS)} or \"builtin\"")
 
 
 def builtin_reference(doc: dict):
     """NAME if ``doc`` is a bare {"builtin": NAME} reference, else None."""
-    if "builtin" in doc and not any(k in doc for k, _, _ in _KIND_KEYS):
+    if "builtin" in doc and not any(k in doc for k, *_ in _KIND_KEYS):
         return doc["builtin"]
     return None
 
@@ -410,16 +396,16 @@ def read_document(source) -> dict:
     return doc
 
 
-def parse_definition(source) -> DefinitionDocument:
-    """Read and validate a definition from a path, JSON text, or dict."""
+def parse_definition(source):
+    """The object a definition at a path, in JSON text, or in a dict
+    defines, read and validated; ``detect_kind`` names its kind."""
     doc = read_document(source)
-    kind = detect_kind(doc)
     name = builtin_reference(doc)
     if name is not None:
-        return DefinitionDocument(kind, _builtin(name, "$"))
-    for key, _, builder in _KIND_KEYS:
+        return _builtin(name, "$")
+    for key, _, _, reader, _ in _KIND_KEYS:
         if key in doc:
-            return DefinitionDocument(kind, builder(doc, "$"))
+            return reader(doc, "$")
 
 
 def dump_json(obj: dict) -> str:

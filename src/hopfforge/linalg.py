@@ -36,9 +36,6 @@ import numpy as np
 
 from .errors import ClosureFailure, DimensionCapExceeded, DimensionMismatch
 
-_ZERO = 0
-_ONE = 1
-
 # to_rows and Space.labels refuse to materialise more cells or labels than
 # this; a 216 x 46656 list of rows is already ten million scalars.
 _MAX_CELLS = 1_048_576
@@ -274,7 +271,7 @@ class LinMap:
             raise DimensionCapExceeded(
                 f"refusing to render a {self.cod.dim}x{self.dom.dim} matrix "
                 f"({cells} > {_MAX_CELLS} cells)")
-        rows = [[_ZERO] * self.dom.dim for _ in range(self.cod.dim)]
+        rows = [[0] * self.dom.dim for _ in range(self.cod.dim)]
         for i, j, v in self.items():
             rows[i][j] = v
         return rows
@@ -286,7 +283,7 @@ class LinMap:
         out: dict = {}
         for j, v in vec.items():
             for i, w in self.column(j).items():
-                nv = out.get(i, _ZERO) + v * w
+                nv = out.get(i, 0) + v * w
                 if nv:
                     out[i] = nv
                 elif i in out:
@@ -311,7 +308,7 @@ class LinMap:
         cols = {j: dict(col) for j, col in self._cols.items()}
         for i, j, v in other.items():
             dst = cols.setdefault(j, {})
-            dst[i] = dst.get(i, _ZERO) - v
+            dst[i] = dst.get(i, 0) - v
         return LinMap(self.dom, self.cod, cols)
 
     def is_zero(self) -> bool:
@@ -344,7 +341,7 @@ class LinMap:
             if ca == cb:
                 continue
             for i in sorted(set(ca) | set(cb)):
-                va, vb = ca.get(i, _ZERO), cb.get(i, _ZERO)
+                va, vb = ca.get(i, 0), cb.get(i, 0)
                 if va != vb:
                     return i, j, va, vb
         return None
@@ -422,7 +419,7 @@ def _apply_tensor_stage(parts, vec: dict) -> dict:
         dead = False
         for (indim, outdim, m), c in zip(parts, coords):
             if m is None:
-                factor_terms.append(((c, _ONE),))
+                factor_terms.append(((c, 1),))
             else:
                 col = m.column(c)
                 if not col:
@@ -436,7 +433,7 @@ def _apply_tensor_stage(parts, vec: dict) -> dict:
             for _, cv in combo:
                 w = w * cv
             o = _encode([t[0] for t in combo], out_dims)
-            nv = out.get(o, _ZERO) + w
+            nv = out.get(o, 0) + w
             if nv:
                 out[o] = nv
             elif o in out:
@@ -466,7 +463,7 @@ def _sparse_composite(dom: Space, cod: Space, stages) -> LinMap:
     """composite_map column by column on sparse vectors, for any maps."""
     cols = {}
     for j in range(dom.dim):
-        vec = {j: _ONE}
+        vec = {j: 1}
         for st in stages:
             if isinstance(st, LinMap):
                 vec = st.apply(vec)
@@ -540,7 +537,7 @@ class RowReducer:
     def __init__(self, rows, ncols: int):
         self.ncols = ncols
         R = [dict(r) for r in rows]
-        T = [{i: _ONE} for i in range(len(R))]
+        T = [{i: 1} for i in range(len(R))]
         occ: dict = {}
         for ri, row in enumerate(R):
             for c in row:
@@ -549,7 +546,7 @@ class RowReducer:
         def axpy(dst, src, factor, row=None):
             """dst -= factor * src, keeping occ current when dst is R[row]."""
             for c, v in src.items():
-                nv = dst.get(c, _ZERO) - factor * v
+                nv = dst.get(c, 0) - factor * v
                 if nv:
                     if row is not None and c not in dst:
                         occ[c].add(row)
@@ -569,7 +566,7 @@ class RowReducer:
                 continue
             pv = R[pr][col]
             if pv != 1:
-                inv = _div(_ONE, pv)
+                inv = _div(1, pv)
                 R[pr] = {c: inv * v for c, v in R[pr].items()}
                 T[pr] = {c: inv * v for c, v in T[pr].items()}
             for r in list(occ[col]):
@@ -600,7 +597,7 @@ class RowReducer:
         for fc in range(self.ncols):
             if fc in pivot_cols:
                 continue
-            vec = {fc: _ONE}
+            vec = {fc: 1}
             for pr, pc in self.pivots:
                 v = self.R[pr].get(fc)
                 if v:
@@ -658,19 +655,15 @@ class Subspace:
     map) has no carrier and no maps: all three are None.
     """
 
-    def __init__(self, ambient: Space, columns, name: str = "sub",
-                 carrier: Space = None):
+    def __init__(self, ambient: Space, columns, name: str = "sub"):
         self.ambient = ambient
         cols = [{i: v for i, v in c.items() if v} for c in columns]
-        if carrier is not None and carrier.dim != len(cols):
-            raise DimensionMismatch("subspace carrier has the wrong dimension")
         self.space = self.inclusion = self.retraction = None
         if not cols:
             return
-        if carrier is None:
-            carrier = Space([ambient.label(next(iter(c)))
-                             if list(c.values()) == [1] else f"{name}{k}"
-                             for k, c in enumerate(cols)])
+        carrier = Space([ambient.label(next(iter(c)))
+                         if list(c.values()) == [1] else f"{name}{k}"
+                         for k, c in enumerate(cols)])
         self.space = carrier
         self.inclusion = LinMap(carrier, ambient, dict(enumerate(cols)))
         red = RowReducer(cols, ambient.dim)

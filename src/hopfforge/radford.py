@@ -107,18 +107,11 @@ def checked_generators(a: HopfAlgebra, ipar: LinMap, what: str,
     return f, g
 
 
-@dataclass
-class KernelGenerators:
-    """f = mul.(id (x) i par S).comul and g = mul.(i par (x) S).comul on I."""
-    f: LinMap
-    g: LinMap
-
-
-def kernel_generators(p: HopfProjection) -> KernelGenerators:
-    """The two generator maps, with their algebraic identities verified:
-    f.f == f, g.f == g, and sum f(v') i(par(v'')) == v."""
-    f, g = checked_generators(p.big, p.incl.lin @ p.proj.lin, p.name)
-    return KernelGenerators(f, g)
+def kernel_generators(p: HopfProjection):
+    """The generator maps (f, g) of p on I, f = mul.(id (x) i par S).comul
+    and g = mul.(i par (x) S).comul, with their algebraic identities
+    verified: f.f == f, g.f == g, and sum f(v') i(par(v'')) == v."""
+    return checked_generators(p.big, p.incl.lin @ p.proj.lin, p.name)
 
 
 def kernel_structure(a: HopfAlgebra, sub: Subspace, f: LinMap, proj: LinMap,
@@ -164,13 +157,13 @@ def induced_braided_hopf(p: HopfProjection, name: str = None) -> RKerResult:
     name = name or f"RKer({p.proj.name})"
     big, small = p.big, p.small
     b = rker(p.proj, "right")
-    gen = kernel_generators(p)
+    f, g = kernel_generators(p)
     incl = b.inclusion
-    f_cor = b.corestrict(gen.f, what="f")
-    mul, comul, coaction = kernel_structure(big, b, gen.f, p.proj.lin, name)
+    f_cor = b.corestrict(f, what="f")
+    mul, comul, coaction = kernel_structure(big, b, f, p.proj.lin, name)
     unit = b.corestrict(big.unit, what="unit")
     counit = big.counit @ incl
-    antipode = b.corestrict(gen.g @ incl, what="antipode")
+    antipode = b.corestrict(g @ incl, what="antipode")
     action = b.corestrict(
         composite_map(tensor_space(small.space, b.space), big.space,
                       [[p.incl.lin, incl], *adjoint_stages(big)]),

@@ -71,6 +71,13 @@ class Report:
             return self.add(name, True, detail=detail)
         return self.add(name, False, _diff_witness(lhs, diff), detail)
 
+    def verdict(self, name: str, holds: bool, witness: dict | None) -> bool:
+        """Record whether a law holds as an info line ("holds"/"fails")
+        that does not affect ok; the witness, if any, is kept."""
+        self.checks.append(Check(name, "info", witness,
+                                 "holds" if holds else "fails"))
+        return holds
+
     def equality_info(self, name: str, lhs: LinMap, rhs: LinMap) -> bool:
         """Like equality, but the verdict is recorded without affecting ok.
 
@@ -78,10 +85,8 @@ class Report:
         witness still lands in the check so callers can inspect it.
         """
         diff = lhs.first_difference(rhs)
-        witness = None if diff is None else _diff_witness(lhs, diff)
-        self.checks.append(Check(name, "info", witness,
-                                 "holds" if diff is None else "fails"))
-        return diff is None
+        return self.verdict(name, diff is None,
+                            None if diff is None else _diff_witness(lhs, diff))
 
     def require(self, error: type):
         """Raise ``error`` naming the title, the first failed check and its

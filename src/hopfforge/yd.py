@@ -150,7 +150,7 @@ def projection_yd(p: HopfProjection) -> YDModule:
                     name=f"{big.name} in YD({small.name})")
 
 
-def yd_pushforward(p: HopfProjection, b: YDModule, name=None) -> YDModule:
+def yd_pushforward(p: HopfProjection, b: YDModule) -> YDModule:
     """Move a module along a projection: YD(H) -> YD(I) for p: I -> H.
 
     action pulls back through proj, coaction pushes through incl.  The
@@ -163,8 +163,7 @@ def yd_pushforward(p: HopfProjection, b: YDModule, name=None) -> YDModule:
                            [[p.proj.lin, b.space], b.action])
     coaction = composite_map(b.space, tensor_space(big.space, b.space),
                              [b.coaction, [p.incl.lin, b.space]])
-    return YDModule(big, b.space, action, coaction,
-                    name=name or f"{b.name}^")
+    return YDModule(big, b.space, action, coaction, name=f"{b.name}^")
 
 
 class BraidedHopfAlgebra(HopfAlgebra):
@@ -269,12 +268,12 @@ def check_braided_hopf(a: BraidedHopfAlgebra) -> Report:
     return rep
 
 
-def pushforward_braided(p: HopfProjection, a: BraidedHopfAlgebra,
-                        name=None) -> BraidedHopfAlgebra:
+def pushforward_braided(p: HopfProjection,
+                        a: BraidedHopfAlgebra) -> BraidedHopfAlgebra:
     """Interchange along a projection; the five structure maps are unchanged."""
     carrier = yd_pushforward(p, a.carrier)
     return BraidedHopfAlgebra(carrier, a.mul, a.unit, a.comul, a.counit,
-                              a.antipode, name=name or f"{a.name}^")
+                              a.antipode, name=f"{a.name}^")
 
 
 class BraidedMap:

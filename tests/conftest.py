@@ -4,6 +4,9 @@ Everything here is exact rational arithmetic, so "equal" always means
 entrywise identical, never approximately so.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from hopfforge import fixtures, io
@@ -48,6 +51,15 @@ def singular_antipode_doc() -> dict:
     doc = io.serialize(fixtures.builtin_raw("sweedler"))
     doc["antipode"] = SINGULAR_ANTIPODE
     return doc
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_python_blocks() -> list:
+    """The source of every ```python block of the README, in order."""
+    return re.findall(r"^```python\n(.*?)^```",
+                      README.read_text(encoding="utf-8"), re.M | re.S)
 
 
 @pytest.fixture(scope="session")

@@ -152,8 +152,7 @@ def test_06_kernel_generator_identities(request):
     with criterion(request, 6, "generator identities f, g", 1.0):
         for pname in PROJECTIONS:
             p = fixtures.builtin_raw(pname)
-            gens = kernel_generators(p)
-            f, g = gens.f, gens.g
+            f, g = kernel_generators(p)
             h = p.big
             assert f @ f == f
             assert g @ f == g

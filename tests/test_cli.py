@@ -271,6 +271,14 @@ def test_large_reference_refused_before_it_is_built(monkeypatch, capsys):
             "pass --allow-large\n")
 
 
+def test_linearize_reads_a_crossed_module_document(tmp_path, capsys):
+    f = tmp_path / "c2-id.json"
+    f.write_text(io.dump_json(io.serialize(fixtures.crossed_module("c2-id"))))
+    assert cli.main(["linearize", "--input", str(f), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["derived"]["level_dims"] == \
+        [2, 4, 8]
+
+
 def test_inline_json_input(capsys):
     text = io.dump_json(io.serialize(fixtures.builtin_raw("c3")))
     assert cli.main(["check-hopf", "--input", text]) == 0

@@ -124,7 +124,7 @@ def test_invalid_table_rejected():
     with pytest.raises(InvalidGroup):
         GroupTable(["e", "a"], [[0, 1], [1, 1]])  # not a Latin square
     with pytest.raises(InvalidGroup):
-        # Latin, row 0 is a left identity, but no two-sided identity
+        # Latin, row 0 is a left identity; fails associativity first
         GroupTable(["e", "a", "b"], [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     # the smallest nonassociative loop: Latin square with identity, order 5
     loop = [[0, 1, 2, 3, 4],
@@ -134,6 +134,18 @@ def test_invalid_table_rejected():
             [4, 2, 0, 1, 3]]
     with pytest.raises(InvalidGroup):
         GroupTable(list("eabcd"), loop)
+
+
+@pytest.mark.parametrize("labels, table, says", [
+    (["e", "e"], [[0, 1], [1, 0]], "G: duplicate element labels"),
+    (["e", "a"], [[0, 1]], "G: table shape (1, 2), expected (2,2)"),
+    (["e", "a"], [[0, 1], [1, 2]], "G: table entries out of range"),
+    (["z", "w"], [[0, 0], [0, 0]], "G: no identity element"),
+], ids=["duplicate-labels", "shape", "range", "no-identity"])
+def test_every_group_refusal_names_its_reason(labels, table, says):
+    with pytest.raises(InvalidGroup) as e:
+        GroupTable(labels, table)
+    assert str(e.value) == says
 
 
 def test_semidirect_product_recovers_s3():

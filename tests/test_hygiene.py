@@ -1,13 +1,18 @@
 """Source hygiene of the package: no import goes unused and no private
 module-level name is left without a reference, so a change that folds one
-implementation into another cannot leave its orphans behind."""
+implementation into another cannot leave its orphans behind; and every
+client imports a name from the module that defines it, so no second path
+to a name (a re-exporting facade) can grow back."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hopfforge"
+from conftest import readme_python_blocks
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hopfforge"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -46,7 +51,8 @@ def test_every_import_is_used(path):
     assert sorted(imported - used) == []
 
 
-def _private_definitions(tree: ast.Module) -> set:
+def _definitions(tree: ast.Module) -> set:
+    """The names a module defines at top level: def, class, assignment."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -55,7 +61,12 @@ def _private_definitions(tree: ast.Module) -> set:
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    return {n for n in _definitions(tree)
+            if n.startswith("_") and not n.startswith("__")}
 
 
 def test_every_private_module_name_is_referenced():
@@ -65,3 +76,27 @@ def test_every_private_module_name_is_referenced():
                      for name in _private_definitions(tree)
                      if name not in referenced)
     assert orphans == []
+
+
+def _client_sources():
+    """(where, source) of every test, every demo and every README block."""
+    for path in sorted((ROOT / "tests").glob("*.py")) + \
+            sorted((ROOT / "demos").glob("*.py")):
+        yield path.name, path.read_text(encoding="utf-8")
+    for k, block in enumerate(readme_python_blocks()):
+        yield f"README.md block {k}", block
+
+
+def test_every_import_names_the_defining_module():
+    defined = {"hopfforge" + ("" if p.stem == "__init__" else f".{p.stem}"):
+               _definitions(_tree(p)) for p in MODULES}
+    defined["hopfforge"] |= {p.stem for p in MODULES
+                             if p.stem != "__init__"}   # the submodules
+    wrong = [f"{where}: from {node.module} import {a.name}"
+             for where, source in _client_sources()
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.ImportFrom) and node.level == 0
+             and node.module.split(".")[0] == "hopfforge"
+             for a in node.names
+             if a.name not in defined.get(node.module, ())]
+    assert wrong == []

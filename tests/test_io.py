@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from hopfforge import fixtures, io
+from hopfforge import cli, fixtures, io
 from hopfforge.errors import ParseError, SchemaError, UsageError
+from hopfforge.hopf import GroupTable
 from hopfforge.yd import projection_yd
 
 
@@ -45,10 +46,10 @@ def test_scalar_rejects_zero_denominator():
 def _roundtrip(obj, kind):
     doc = io.serialize(obj)
     s1 = io.dump_json(doc)
+    assert io.detect_kind(doc) == kind
     parsed = io.parse_definition(s1)
-    assert parsed.kind == kind
-    assert io.dump_json(io.serialize(parsed.value)) == s1
-    return parsed.value
+    assert io.dump_json(io.serialize(parsed)) == s1
+    return parsed
 
 
 def test_hopf_roundtrip(sweedler):
@@ -96,7 +97,7 @@ def test_parse_definition_accepts_dict_text_and_path(tmp_path, sweedler):
     f = tmp_path / "h.json"
     f.write_text(text)
     for source in (doc, text, str(f)):
-        assert io.parse_definition(source).kind == "hopf"
+        assert io.dump_json(io.serialize(io.parse_definition(source))) == text
 
 
 def test_dump_json_deterministic(sweedler):
@@ -165,7 +166,7 @@ def test_wrong_field_marker_rejected():
 def test_builtin_reference_in_projection_slot(proj_sweedler):
     doc = io.serialize(proj_sweedler)
     doc["big"] = {"builtin": "sweedler"}
-    p = io.parse_definition(doc).value
+    p = io.parse_definition(doc)
     assert p.big.space.labels == proj_sweedler.big.space.labels
 
 
@@ -173,7 +174,7 @@ def test_group_builtin_coerced_in_hopf_slot(proj_sign_s3):
     doc = io.serialize(proj_sign_s3)
     doc["big"] = {"builtin": "s3"}
     doc["small"] = {"builtin": "c2"}
-    p = io.parse_definition(doc).value
+    p = io.parse_definition(doc)
     assert p.big.dim == 6 and p.small.dim == 2
 
 
@@ -194,3 +195,77 @@ def test_builtin_registry_kinds():
     assert not fixtures.builtin_is_large("nerve-c2-id")
     with pytest.raises(UsageError):
         fixtures.builtin_kind("atlantis")
+
+
+# -- every refusal reaches exit 2 ------------------------------------------
+
+
+def _document(name):
+    """The document of a builtin, or of the crossed module behind c2-id."""
+    if name == "c2-id":
+        return io.serialize(fixtures.crossed_module(name))
+    return io.serialize(fixtures.builtin_raw(name))
+
+
+#: a command that reads each document kind
+_COMMAND = {"hopf": "check-hopf", "group": "check-hopf", "projection": "rker",
+            "crossed_module": "nerve", "simplicial": "simplicial-check"}
+
+
+@pytest.mark.parametrize("name, mutate, says", [
+    ("proj-sweedler", lambda d: d.update(big=[1]),
+     "$.big: expected an object, got list"),
+    ("sweedler", lambda d: d.update(dim=0),
+     "$.dim: expected a positive integer, got 0"),
+    ("sweedler", lambda d: d["basis"].pop(),
+     "$.basis: expected a list of 4 labels"),
+    ("sweedler", lambda d: d["mul"][1].pop(),
+     "$.mul[1]: expected a row of 16 entries"),
+    ("sweedler", lambda d: d["counit"].pop(),
+     "$.counit: expected a list of 4 entries"),
+    ("c2-id", lambda d: d["boundary"].__setitem__(1, 9),
+     "$.boundary[1]: expected an index in 0..1, got 9"),
+    ("sweedler", lambda d: d["basis"].__setitem__(1, "1"),
+     "$.basis: basis labels must be distinct"),
+    ("c3", lambda d: d["table"].pop(), "$.table: expected 3 rows"),
+    ("proj-sweedler", lambda d: d.update(big={"builtin": "proj-sign-s3"}),
+     "$.big.builtin: 'proj-sign-s3' is not a Hopf algebra"),
+    ("c2-id", lambda d: d.update(M={"builtin": "sweedler"}),
+     "$.M.builtin: 'sweedler' is not a group"),
+    ("c2-id", lambda d: d.update(N={"builtin": 2}),
+     "$.N.builtin: expected a fixture name string"),
+    ("c2-id", lambda d: d["action"].pop(), "$.action: expected 2 rows"),
+    ("nerve-c2-id", lambda d: d.update(levels=d["levels"][:1]),
+     "$.levels: expected at least two levels"),
+    ("nerve-c2-id", lambda d: d["faces"].pop(),
+     "$.faces: expected one (possibly empty) list per level"),
+], ids=["non-object-slot", "non-positive-dim", "label-count", "short-row",
+        "vector-length", "index-range", "duplicate-labels", "table-rows",
+        "non-hopf-builtin", "non-group-builtin", "non-string-builtin",
+        "action-rows", "one-level", "faces-count"])
+def test_malformed_document_names_its_path_and_exits_two(tmp_path, capsys,
+                                                         name, mutate, says):
+    doc = _document(name)
+    mutate(doc)
+    with pytest.raises((SchemaError, ParseError)) as e:
+        io.parse_definition(doc)
+    assert says in str(e.value)
+    f = tmp_path / "bad.json"
+    f.write_text(io.dump_json(doc))
+    assert cli.main([_COMMAND[io.detect_kind(doc)], "--input", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and says in err
+
+
+def test_text_that_is_not_json_exits_two(capsys):
+    with pytest.raises(ParseError, match="not valid JSON"):
+        io.parse_definition("{not json")
+    assert cli.main(["check-hopf", "--input", "{not json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not valid JSON" in err
+
+
+def test_bare_group_reference_parses_to_the_group():
+    g = io.parse_definition({"builtin": "c2"})
+    assert isinstance(g, GroupTable)
+    assert g is fixtures.builtin_raw("c2")

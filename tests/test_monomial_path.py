@@ -54,11 +54,11 @@ def _negate_column(rows, a):
 def test_mutated_face_fails_with_the_same_witness(mutate, monkeypatch):
     doc = io.serialize(fixtures.builtin_raw("nerve-c2-id"))
     mutate(doc["faces"][2][1])
-    t = io.parse_definition(doc).value
+    t = io.parse_definition(doc)
     assert t.faces[2][1].lin.monomial() is not None
     arrays = verify_simplicial(t)
     monkeypatch.setattr(linalg, "_monomial_composite", lambda *args: None)
-    sparse = verify_simplicial(io.parse_definition(doc).value)
+    sparse = verify_simplicial(io.parse_definition(doc))
     assert not arrays.ok
     assert arrays.failed()[0] == sparse.failed()[0]
     assert arrays.to_dict("v") == sparse.to_dict("v")

@@ -59,8 +59,7 @@ def test_kernel_of_zero_morphism_is_everything(ks3, kc2):
 @pytest.mark.parametrize("pname", ["proj-sweedler", "proj-sign-s3"])
 def test_generator_identities(pname):
     p = fixtures.builtin_raw(pname)
-    gens = kernel_generators(p)
-    f, g = gens.f, gens.g
+    f, g = kernel_generators(p)
     h = p.big
     ident = LinMap.identity(h.space)
     assert f @ f == f

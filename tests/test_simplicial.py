@@ -10,11 +10,12 @@ from fractions import Fraction
 import pytest
 
 from hopfforge import fixtures
-from hopfforge.errors import DimensionMismatch, InvalidGroup
+from hopfforge.errors import (DimensionMismatch, InvalidCrossedModule,
+                              InvalidGroup)
 from hopfforge.hopf import (GroupTable, HopfMorphism, cyclic_group,
-                            group_algebra)
+                            group_algebra, symmetric_group_3, trivial_group)
 from hopfforge.linalg import LinMap, RowReducer
-from hopfforge.simplicial import (TruncatedSimplicialGroup,
+from hopfforge.simplicial import (GroupCrossedModule, TruncatedSimplicialGroup,
                                   TruncatedSimplicialHopf, check_fg_commutation,
                                   check_twisted, constant_simplicial_hopf,
                                   dim2_pipeline, extract_xmod,
@@ -116,6 +117,39 @@ def test_tower_shape_errors(kind, mutate, says):
     mutate(faces)
     with pytest.raises(error, match=says):
         cls(t.levels, faces, t.degens, name="mutant")
+
+
+C2, C3, S3 = cyclic_group(2), cyclic_group(3), symmetric_group_3()
+ID2 = [[0, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("m, n, boundary, action, says", [
+    (C2, C2, [0], ID2, "boundary has length (1,), expected (2,)"),
+    (C2, C2, [0, 1], [[0, 1]], "action table is (1, 2), expected (2, 2)"),
+    (C2, C2, [0, 5], ID2, "boundary indices out of range"),
+    (C2, C2, [0, 1], [[0, 1], [0, 7]], "action indices out of range"),
+    (C2, C2, [1, 0], ID2, "boundary is not a homomorphism"),
+    (C2, C2, [0, 0], [[1, 0], [0, 1]], "the identity of C2 acts nontrivially"),
+    (C2, C2, [0, 0], [[0, 1], [0, 0]], "'g' does not act bijectively"),
+    (C3, C2, [0, 0, 0], [[0, 1, 2], [1, 0, 2]],
+     "'g' does not act by an automorphism"),
+    # g acts by inversion, g2 trivially: g g2 = 1 but inv . id != id
+    (C3, C3, [0, 0, 0], [[0, 1, 2], [0, 2, 1], [0, 1, 2]],
+     "action does not compose, (n1 n2) |> m != n1 |> (n2 |> m)"),
+    # id: S3 -> S3 with the trivial action: par(n |> m) = m != n m n^-1
+    (S3, S3, list(range(6)), [list(range(6))] * 6,
+     "equivariance fails at n='(12)', m='(13)'"),
+    # S3 -> 1: par(m) |> m' = m' != m m' m^-1
+    (S3, trivial_group(), [0] * 6, [list(range(6))],
+     "Peiffer identity fails at m='(12)', m'='(13)'"),
+], ids=["boundary-length", "action-shape", "boundary-range", "action-range",
+        "boundary-hom", "identity-acts", "bijective", "automorphism",
+        "compose", "equivariance", "peiffer"])
+def test_every_crossed_module_refusal_names_its_reason(m, n, boundary, action,
+                                                       says):
+    with pytest.raises(InvalidCrossedModule) as e:
+        GroupCrossedModule(m, n, boundary, action)
+    assert str(e.value) == f"X: {says}"
 
 
 def test_nerve_matches_group_construction(nerve_c2_id):
