@@ -20,7 +20,7 @@ from . import __version__, fixtures, io
 from .errors import (HopfForgeError, HypothesisFailed, InvalidCrossedModule,
                      InvalidGroup, NonInvertibleAntipode,
                      NonInvertibleBraiding, NotAProjection, UsageError)
-from .linalg import composite_map, try_inverse
+from .linalg import composite_map, scalar_text, try_inverse
 from .hopf import (GroupTable, HopfAlgebra, HopfProjection, check_hopf,
                    group_algebra, max_dim)
 from .yd import (YDModule, check_braided_hopf, check_yd, projection_yd,
@@ -159,7 +159,7 @@ def _cmd_rker(args) -> Report:
 def _basis_label(space, col) -> str:
     parts = []
     for i in sorted(col):
-        c = str(col[i])
+        c = scalar_text(col[i])
         parts.append(space.label(i) if c == "1" else f"{c}*{space.label(i)}")
     return " + ".join(parts)
 

@@ -367,8 +367,7 @@ def semidirect_product(m: GroupTable, n: GroupTable, action,
 
 def conjugation_action(g: GroupTable):
     """g |> x = g x g^{-1} as an action table of g on itself."""
-    return [[g.mul(g.mul(j, i), g.inv(j)) for i in range(g.order)]
-            for j in range(g.order)]
+    return g.table[g.table, g.inverse[:, None]]
 
 
 def check_group_hom(src: GroupTable, dst: GroupTable, images) -> bool:

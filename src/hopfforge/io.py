@@ -28,6 +28,7 @@ path of the first offending value.
 """
 
 import json
+import re
 
 from .errors import ParseError, SchemaError
 from .linalg import LinMap, SCALAR, Space, rat, tensor_space
@@ -41,18 +42,21 @@ from .simplicial import GroupCrossedModule, TruncatedSimplicialHopf
 
 
 def parse_scalar(x, path: str):
-    """int or "p/q" string -> scalar (see ``linalg.rat``); anything
-    inexact is refused."""
+    """int, or a string "p" or "p/q" of decimal digits with an optional sign
+    -> scalar (``linalg.rat``); no point, exponent or whitespace, so that
+    a short string cannot stand for a huge number."""
     if isinstance(x, bool):
         raise ParseError(f"{path}: expected a rational, got {x!r}")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x):
+            raise ParseError(f"{path}: bad rational {x!r}")
         try:
             return rat(x)
         except ZeroDivisionError:
             raise ParseError(f"{path}: bad rational {x!r} (zero denominator)")
-        except ValueError:
+        except ValueError:   # more digits than Python converts
             raise ParseError(f"{path}: bad rational {x!r}")
     if isinstance(x, float):
         raise ParseError(f"{path}: floats are inexact, write {x!r} as \"p/q\"")
@@ -390,7 +394,7 @@ def read_document(source) -> dict:
                 raise ParseError(f"cannot read {source}: {e}")
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except ValueError as e:   # also an int literal past Python's limit
             raise ParseError(f"not valid JSON: {e}")
     detect_kind(doc)
     return doc

@@ -3,7 +3,7 @@
 Everything downstream represents structure maps as matrices over Q, so
 equality of diagrams is literal entrywise equality -- no tolerances
 anywhere.  A scalar is an ``int`` when whole, else a ``fractions.Fraction``;
-``str`` renders either form.
+``scalar_text`` renders either form, at any size.
 
 Conventions:
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +57,13 @@ def rat(x):
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def scalar_text(x) -> str:
+    """x as decimal "p" or "p/q" at any size (``str`` refuses huge ints)."""
+    if isinstance(x, Fraction):
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    return str(Decimal(x))
 
 
 def _div(a, b):
@@ -278,18 +286,6 @@ class LinMap:
 
     # -- algebra ------------------------------------------------------
 
-    def apply(self, vec: dict) -> dict:
-        """Apply to a sparse column vector {index: value}."""
-        out: dict = {}
-        for j, v in vec.items():
-            for i, w in self.column(j).items():
-                nv = out.get(i, 0) + v * w
-                if nv:
-                    out[i] = nv
-                elif i in out:
-                    del out[i]
-        return out
-
     def __matmul__(self, other: "LinMap") -> "LinMap":
         if not isinstance(other, LinMap):
             return NotImplemented
@@ -453,7 +449,7 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
     on index arrays (``_monomial_composite``), any other on sparse
     vectors (``_sparse_composite``); both give the same LinMap.
     """
-    stages = [st if isinstance(st, LinMap) else _stage_parts(st)
+    stages = [_stage_parts([st] if isinstance(st, LinMap) else st)
               for st in stages]
     out = _monomial_composite(dom, cod, stages)
     return _sparse_composite(dom, cod, stages) if out is None else out
@@ -464,11 +460,8 @@ def _sparse_composite(dom: Space, cod: Space, stages) -> LinMap:
     cols = {}
     for j in range(dom.dim):
         vec = {j: 1}
-        for st in stages:
-            if isinstance(st, LinMap):
-                vec = st.apply(vec)
-            else:
-                vec = _apply_tensor_stage(st, vec)
+        for parts in stages:
+            vec = _apply_tensor_stage(parts, vec)
             if not vec:
                 break
         if vec:
@@ -490,8 +483,7 @@ def _monomial_composite(dom: Space, cod: Space, stages):
     """
     plan = []
     width = dom.dim
-    for st in stages:
-        parts = [(st.dom.dim, st.cod.dim, st)] if isinstance(st, LinMap) else st
+    for parts in stages:
         if width > _MAX_INDEX or math.prod(p[0] for p in parts) != width:
             return None
         step = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import LinMap
+from .linalg import LinMap, scalar_text
 
 
 @dataclass
@@ -140,7 +140,7 @@ def _diff_witness(lhs: LinMap, diff) -> dict:
     return {
         "row": lhs.cod.label(i), "col": lhs.dom.label(j),
         "row_index": i, "col_index": j,
-        "lhs": str(va), "rhs": str(vb),
+        "lhs": scalar_text(va), "rhs": scalar_text(vb),
     }
 
 

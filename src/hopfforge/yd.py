@@ -276,26 +276,17 @@ def pushforward_braided(p: HopfProjection,
                               a.antipode, name=f"{a.name}^")
 
 
-class BraidedMap:
-    """A morphism of braided Hopf algebras over a base Hopf morphism."""
-
-    def __init__(self, base: HopfMorphism, src: BraidedHopfAlgebra,
-                 dst: BraidedHopfAlgebra, lin: LinMap, name: str = "t"):
-        if lin.dom != src.space or lin.cod != dst.space:
-            raise DimensionMismatch(f"{name}: wrong carrier spaces")
-        if base.src.space != src.over.space or base.dst.space != dst.over.space:
-            raise DimensionMismatch(f"{name}: base morphism over wrong algebras")
-        self.base = base
-        self.src = src
-        self.dst = dst
-        self.lin = lin
-        self.name = name
-
-
-def check_braided_map(t: BraidedMap) -> Report:
-    """Algebra/coalgebra/antipode compatibility plus the YD squares."""
-    rep = Report(f"check-braided-map {t.name}")
-    s, d, f, r = t.src, t.dst, t.lin, t.base.lin
+def check_braided_map(base: HopfMorphism, src: BraidedHopfAlgebra,
+                      dst: BraidedHopfAlgebra, lin: LinMap,
+                      name: str) -> Report:
+    """Is ``lin`` a braided Hopf algebra morphism over ``base``?  Algebra,
+    coalgebra and antipode compatibility plus the YD squares."""
+    if lin.dom != src.space or lin.cod != dst.space:
+        raise DimensionMismatch(f"{name}: wrong carrier spaces")
+    if base.src.space != src.over.space or base.dst.space != dst.over.space:
+        raise DimensionMismatch(f"{name}: base morphism over wrong algebras")
+    rep = Report(f"check-braided-map {name}")
+    s, d, f, r = src, dst, lin, base.lin
     ssq = tensor_space(s.space, s.space)
     dsq = tensor_space(d.space, d.space)
     rep.equality("respects-mul",

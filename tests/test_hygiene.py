@@ -1,8 +1,9 @@
 """Source hygiene of the package: no import goes unused and no private
 module-level name is left without a reference, so a change that folds one
-implementation into another cannot leave its orphans behind; and every
-client imports a name from the module that defines it, so no second path
-to a name (a re-exporting facade) can grow back."""
+implementation into another cannot leave its orphans behind; no module
+imports another module's private name; and every client imports a name
+from the module that defines it, so no second path to a name (a
+re-exporting facade) can grow back."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,16 @@ def test_every_private_module_name_is_referenced():
                      for name in _private_definitions(tree)
                      if name not in referenced)
     assert orphans == []
+
+
+def test_no_module_imports_a_private_name():
+    wrong = [f"{p.name}: from {'.' * node.level}{node.module or ''} "
+             f"import {a.name}"
+             for p in MODULES for node in ast.walk(_tree(p))
+             if isinstance(node, ast.ImportFrom)
+             for a in node.names
+             if a.name.startswith("_") and not a.name.startswith("__")]
+    assert wrong == []
 
 
 def _client_sources():

@@ -5,6 +5,7 @@ rejection carries a $.path so a bad entry can be found in a large file.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,57 @@ def test_text_that_is_not_json_exits_two(capsys):
     assert cli.main(["check-hopf", "--input", "{not json"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "not valid JSON" in err
+
+
+# -- numbers too large to convert ------------------------------------------
+
+#: 10^3001 - 1 and its square, spelled out without int-to-str conversion
+_NINES = "9" * 3001
+_NINES_SQUARED = "9" * 3000 + "8" + "0" * 3000 + "1"
+
+
+def _sweedler_text(entry: str) -> str:
+    """The Sweedler document as JSON text with ``entry`` as mul[0][0]."""
+    doc = io.serialize(fixtures.builtin_raw("sweedler"))
+    doc["mul"][0][0] = "@"
+    return io.dump_json(doc).replace('"@"', entry, 1)
+
+
+@pytest.mark.parametrize("entry, says", [
+    ("7" * 5000, "not valid JSON"),
+    ('"1e1000000"', "$.mul[0][0]: bad rational '1e1000000'"),
+    ('"1e10000000"', "$.mul[0][0]: bad rational '1e10000000'"),
+], ids=["5000-digit-literal", "exponent-1e6", "exponent-1e7"])
+def test_oversized_input_exits_two_quickly(tmp_path, capsys, entry, says):
+    f = tmp_path / "big.json"
+    f.write_text(_sweedler_text(entry))
+    start = time.perf_counter()
+    assert cli.main(["check-hopf", "--input", str(f)]) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == "" and says in err
+
+
+@pytest.mark.parametrize("x", ["1.5", "1e3", " 3", "3 ", "+-1", "1/", "/2",
+                               "1/-2", "0x10", "1_000", "\u0661"])
+def test_scalar_accepts_only_integers_and_fractions(x):
+    with pytest.raises(ParseError, match="bad rational"):
+        io.parse_scalar(x, "$")
+
+
+def test_huge_computed_scalar_is_rendered_exactly(tmp_path, capsys):
+    f = tmp_path / "big.json"
+    f.write_text(_sweedler_text(_NINES))
+    assert cli.main(["check-hopf", "--input", str(f)]) == 1
+    out, _ = capsys.readouterr()
+    assert (f"FAIL comul-mul-compatibility @ row '1⊗1', col '1⊗1': "
+            f"{_NINES} != {_NINES_SQUARED}\n") in out
+    assert cli.main(["check-hopf", "--input", str(f), "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    witness = next(c["witness"] for c in checks
+                   if c["name"] == "comul-mul-compatibility")
+    assert witness == {"row": "1⊗1", "col": "1⊗1", "row_index": 0,
+                       "col_index": 0, "lhs": _NINES, "rhs": _NINES_SQUARED}
 
 
 def test_bare_group_reference_parses_to_the_group():

@@ -198,10 +198,14 @@ def _spoil(stages):
     return None
 
 
+def _prepared(stages):
+    """The stages in the part-list form both engines take."""
+    return [linalg._stage_parts([s] if isinstance(s, LinMap) else s)
+            for s in stages]
+
+
 def _sparse_reference(dom, cod, stages):
-    return linalg._sparse_composite(dom, cod, [
-        s if isinstance(s, LinMap) else linalg._stage_parts(s)
-        for s in stages])
+    return linalg._sparse_composite(dom, cod, _prepared(stages))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -213,15 +217,13 @@ def test_index_arrays_match_sparse_vectors(case, spoil):
     monomial = all(m.monomial() is not None for s in stages
                    for m in ([s] if isinstance(s, LinMap) else s)
                    if isinstance(m, LinMap))
-    prepared = [s if isinstance(s, LinMap) else linalg._stage_parts(s)
-                for s in stages]
     try:
         want = _sparse_reference(dom, cod, stages)
     except DimensionMismatch as e:
         with pytest.raises(DimensionMismatch, match=str(e)):
             composite_map(dom, cod, stages)
         return
-    got = linalg._monomial_composite(dom, cod, prepared)
+    got = linalg._monomial_composite(dom, cod, _prepared(stages))
     assert (got is not None) == monomial
     if got is None:
         assert composite_map(dom, cod, stages) == want

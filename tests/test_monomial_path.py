@@ -3,15 +3,16 @@
 A pipeline whose maps are all monomial (each column zero or one +-1) runs
 on numpy index arrays; every other runs column by column on sparse
 vectors.  Switching the array path off by monkeypatching must leave every
-report, and every witness of a failing one, byte-identical.  The last
-test bounds the work: on a linearized nerve no all-monomial stage list
-may reach the per-column evaluator.
+report, and every witness of a failing one, byte-identical.  One test
+bounds the work: on a linearized nerve no all-monomial stage list may
+reach the per-column evaluator.  The last sends a pipeline whose index
+range passes int64 to the sparse evaluator.
 """
 
 import pytest
 
 from hopfforge import cli, fixtures, hopf, io, linalg, radford, simplicial, yd
-from hopfforge.linalg import LinMap
+from hopfforge.linalg import SCALAR, LinMap, Space, tensor_space
 from hopfforge.simplicial import dim2_pipeline, verify_simplicial
 
 COMMANDS = ["check-hopf", "simplicial-check", "pipeline", "peiffer",
@@ -96,10 +97,31 @@ def test_monomial_pipelines_skip_the_column_loop(nerve_c2_id, monkeypatch):
 
     for mod in (linalg, hopf, radford, yd, simplicial):
         monkeypatch.setattr(mod, "composite_map", watching)
-    monkeypatch.setattr(LinMap, "apply", counting(LinMap.apply))
     monkeypatch.setattr(linalg, "_apply_tensor_stage",
                         counting(linalg._apply_tensor_stage))
     verify_simplicial(nerve_c2_id)
     dim2_pipeline(nerve_c2_id)
     assert sum(monomial_calls) > 100
     assert columns == []
+
+
+@pytest.mark.parametrize("back_to_scalar", [False, True],
+                         ids=["stops-at-2^64", "returns-to-scalar"])
+def test_index_range_past_int64_runs_on_sparse_vectors(back_to_scalar):
+    """Eight unit stages SCALAR -> V with dim V = 256 make the width 2^64,
+    past the int64 index arrays; optionally eight counit stages map back.
+    The array engine refuses and the sparse one gives the exact map."""
+    v = Space([f"v{i}" for i in range(256)])
+    up = LinMap.from_entries(SCALAR, v, {(255, 0): -1})
+    down = LinMap.from_entries(v, SCALAR, {(0, 255): -1})
+    stages = [[v] * k + [up] for k in range(8)]
+    cod = tensor_space(*[v] * 8)
+    want = {0: {2 ** 64 - 1: 1}}           # e_255 in every factor
+    if back_to_scalar:
+        stages += [[v] * k + [down] for k in range(7, -1, -1)]
+        cod, want = SCALAR, {0: {0: 1}}
+    prepared = [linalg._stage_parts(st) for st in stages]
+    assert linalg._monomial_composite(SCALAR, cod, prepared) is None
+    got = linalg.composite_map(SCALAR, cod, stages)
+    assert got == LinMap(SCALAR, cod, want)
+    assert list(got.items()) == [(r, 0, 1) for r in want[0]]

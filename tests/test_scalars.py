@@ -2,9 +2,9 @@
 
 ``LinMap`` stores only ``int`` values and ``Fraction`` values whose
 denominator is not 1, never a float (``_normal`` checks exactly that).
-The guard at the end sends every Hopf layer through a change of basis
-with non-integral entries, because no builtin exercises the rational
-path on its own.
+The guards at the end send every Hopf layer, and the whole simplicial
+tower, through a change of basis with non-integral entries, because no
+builtin exercises the rational path on its own.
 """
 
 from fractions import Fraction
@@ -12,13 +12,14 @@ from fractions import Fraction
 import pytest
 
 from hopfforge import fixtures, io
-from hopfforge.hopf import (HopfAlgebra, HopfProjection, check_hopf,
-                           group_algebra)
+from hopfforge.hopf import (HopfAlgebra, HopfMorphism, HopfProjection,
+                            check_hopf, group_algebra)
 from hopfforge.linalg import LinMap, Space, kernel_basis, rat, try_inverse
 from hopfforge.radford import induced_braided_hopf, radford_iso
-from hopfforge.simplicial import (TruncatedSimplicialHopf, dim2_pipeline,
-                                  extract_xmod, peiffer_pairing,
-                                  verify_simplicial)
+from hopfforge.simplicial import (TruncatedSimplicialHopf,
+                                  check_fg_commutation, dim2_pipeline,
+                                  extract_xmod, level3_restriction_probe,
+                                  peiffer_pairing, verify_simplicial)
 from hopfforge.yd import (check_braided_hopf, check_yd, projection_yd,
                           yd_braiding)
 
@@ -155,17 +156,37 @@ def _bidiagonal(space: Space) -> LinMap:
     return LinMap.from_entries(space, space, entries)
 
 
+def _moved(h: HopfAlgebra, P: LinMap, Pi: LinMap) -> HopfAlgebra:
+    """h transported along P: h.space -> h.space, whose inverse is Pi."""
+    return HopfAlgebra(
+        h.space, P @ h.mul @ Pi.tensor(Pi), P @ h.unit,
+        P.tensor(P) @ h.comul @ Pi, h.counit @ Pi,
+        P @ h.antipode @ Pi, name=f"{h.name}^P")
+
+
 def _conjugated(p: HopfProjection) -> HopfProjection:
     """p with its big algebra I transported along P: I -> I."""
-    big = p.big
-    P = _bidiagonal(big.space)
+    P = _bidiagonal(p.big.space)
     Pi = try_inverse(P)
-    moved = HopfAlgebra(
-        big.space, P @ big.mul @ Pi.tensor(Pi), P @ big.unit,
-        P.tensor(P) @ big.comul @ Pi, big.counit @ Pi,
-        P @ big.antipode @ Pi, name=f"{big.name}^P")
-    return HopfProjection(moved, p.small, p.proj.lin @ Pi, P @ p.incl.lin,
-                          name=f"{p.name}^P")
+    return HopfProjection(_moved(p.big, P, Pi), p.small, p.proj.lin @ Pi,
+                          P @ p.incl.lin, name=f"{p.name}^P")
+
+
+def _transported(t: TruncatedSimplicialHopf) -> TruncatedSimplicialHopf:
+    """t with level n moved along P_n, faces and degeneracies conjugated,
+    so no structure map of the tower is monomial any more."""
+    Ps = [_bidiagonal(h.space) for h in t.levels]
+    Pis = [try_inverse(P) for P in Ps]
+    levels = [_moved(*a) for a in zip(t.levels, Ps, Pis)]
+
+    def move(m: HopfMorphism, n: int, k: int) -> HopfMorphism:
+        return HopfMorphism(levels[n], levels[k], Ps[k] @ m.lin @ Pis[n],
+                            name=m.name)
+
+    faces = [[move(d, n, n - 1) for d in fs] for n, fs in enumerate(t.faces)]
+    degens = [[move(s, n, n + 1) for s in ss]
+              for n, ss in enumerate(t.degens)]
+    return TruncatedSimplicialHopf(levels, faces, degens, name=f"{t.name}^P")
 
 
 @pytest.mark.parametrize("name, dim_kernel", [
@@ -182,3 +203,26 @@ def test_rational_change_of_basis_through_radford(name, dim_kernel):
     assert check_braided_hopf(res.braided).ok
     _, _, rep = radford_iso(q, res)
     assert rep.ok
+
+
+@pytest.mark.parametrize("name", ["nerve-c2-id", "nerve-c2-trivial"])
+def test_rational_change_of_basis_through_the_tower(name):
+    """The whole kernel tower, Peiffer pairing and crossed module on
+    sparse vectors: every report passes with the dimensions of the
+    untransported nerve."""
+    t = fixtures.builtin_raw(name)
+    q = _transported(t)
+    assert q.levels[2].mul.monomial() is None
+    assert any(type(v) is Fraction for _, _, v in q.levels[1].mul.items())
+    assert verify_simplicial(q).ok
+    assert check_fg_commutation(q).ok
+    pipe = dim2_pipeline(q)
+    assert pipe.report.ok
+    assert pipe.report.derived == dim2_pipeline(t).report.derived
+    pp = peiffer_pairing(q, pipe)
+    assert pp.report.ok and pp.composite == pp.closed_form
+    _, rep = extract_xmod(q, pipe)
+    assert rep.ok
+    probe = level3_restriction_probe(q, pipe)
+    assert probe.ok
+    assert probe.derived == level3_restriction_probe(t).derived

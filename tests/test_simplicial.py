@@ -250,6 +250,45 @@ def test_peiffer_trivial_collapses_to_counit(nerve_c2_trivial, pipe_trivial):
                for c in pp.report.checks)
 
 
+def _group_peiffer(g: TruncatedSimplicialGroup, x: int, y: int) -> int:
+    """The closed form on group-likes x, y of level one, read from the
+    nerve's index tables: Delta^3 of a group-like is four copies of it and
+    S is the inverse, so the eight-factor product is one group element."""
+    g1, g2 = g.levels[1], g.levels[2]
+    s0, s1 = g.degens[1]
+    d0, d2 = g.faces[2][0], g.faces[2][2]
+    xi, yi = g1.inv(x), g1.inv(y)
+    word = [s0[x], s1[y], s0[d0[s1[yi]]], s0[xi],
+            s1[d2[s0[x]]], s1[d0[s1[y]]], s1[yi], s1[d2[s0[xi]]]]
+    out = g2.identity
+    for w in word:
+        out = g2.mul(out, int(w))
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    "nerve-c2-id", "nerve-c2-trivial",
+    pytest.param("nerve-s3-id", marks=pytest.mark.slow)])
+def test_peiffer_closed_form_matches_group_words(name):
+    """An oracle for the closed form that shares no code with
+    composite_map: the group-level word extended bilinearly over the
+    inclusion columns of A^1_(0,0)."""
+    g = fixtures.group_nerve(name)
+    t = fixtures.builtin_raw(name)
+    pipe = dim2_pipeline(t)
+    closed = peiffer_pairing(t, pipe).closed_form
+    incl = pipe.a100.subspace.inclusion
+    b = incl.dom.dim
+    entries = {}
+    for i in range(b):
+        for j in range(b):
+            for x, cx in incl.column(i).items():
+                for y, cy in incl.column(j).items():
+                    key = _group_peiffer(g, x, y), i * b + j
+                    entries[key] = entries.get(key, 0) + cx * cy
+    assert closed == LinMap.from_entries(closed.dom, closed.cod, entries)
+
+
 # -- crossed module extraction ------------------------------------------------
 
 
