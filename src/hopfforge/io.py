@@ -29,6 +29,7 @@ path of the first offending value.
 
 import json
 import re
+import sys
 
 from .errors import ParseError, SchemaError
 from .linalg import LinMap, SCALAR, Space, rat, tensor_space
@@ -63,8 +64,16 @@ def parse_scalar(x, path: str):
     raise ParseError(f"{path}: expected a rational, got {type(x).__name__}")
 
 
-def scalar_to_json(q):
-    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def scalar_to_json(q, path: str):
+    """q as an int or a "p/q" string; SchemaError when a part has more
+    digits than Python converts, as no document holding it reads back."""
+    try:
+        parts = str(q.numerator), str(q.denominator)
+    except ValueError:
+        raise SchemaError(f"{path}: an entry of more than "
+                          f"{sys.get_int_max_str_digits()} digits cannot be "
+                          f"read back from JSON")
+    return q.numerator if q.denominator == 1 else "/".join(parts)
 
 
 # -- low-level document access ------------------------------------------
@@ -266,25 +275,28 @@ def simplicial_from_json(doc: dict, path: str = "$") -> TruncatedSimplicialHopf:
 # -- serializers --------------------------------------------------------
 
 
-def linmap_to_json(m: LinMap) -> list:
-    return [[scalar_to_json(v) for v in row] for row in m.to_rows()]
+def linmap_to_json(m: LinMap, path: str) -> list:
+    return [[scalar_to_json(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
+            for i, row in enumerate(m.to_rows())]
 
 
-def _flat_to_json(m: LinMap) -> list:
-    rows = linmap_to_json(m)
-    return rows[0] if m.cod.dim == 1 else [row[0] for row in rows]
+def _flat_to_json(m: LinMap, path: str) -> list:
+    """A map from or to SCALAR as one list (its matrix has one row or one
+    column)."""
+    flat = [v for row in m.to_rows() for v in row]
+    return [scalar_to_json(v, f"{path}[{k}]") for k, v in enumerate(flat)]
 
 
-def hopf_to_json(h: HopfAlgebra) -> dict:
+def hopf_to_json(h: HopfAlgebra, path: str = "$") -> dict:
     return {
         "field": "Q",
         "dim": h.dim,
         "basis": list(h.space.labels),
-        "mul": linmap_to_json(h.mul),
-        "unit": _flat_to_json(h.unit),
-        "comul": linmap_to_json(h.comul),
-        "counit": _flat_to_json(h.counit),
-        "antipode": linmap_to_json(h.antipode),
+        "mul": linmap_to_json(h.mul, f"{path}.mul"),
+        "unit": _flat_to_json(h.unit, f"{path}.unit"),
+        "comul": linmap_to_json(h.comul, f"{path}.comul"),
+        "counit": _flat_to_json(h.counit, f"{path}.counit"),
+        "antipode": linmap_to_json(h.antipode, f"{path}.antipode"),
     }
 
 
@@ -298,19 +310,19 @@ def group_to_json(g: GroupTable) -> dict:
 
 def yd_to_json(v: YDModule) -> dict:
     return {
-        "over": hopf_to_json(v.over),
+        "over": hopf_to_json(v.over, "$.over"),
         "dim": v.dim,
-        "action": linmap_to_json(v.action),
-        "coaction": linmap_to_json(v.coaction),
+        "action": linmap_to_json(v.action, "$.action"),
+        "coaction": linmap_to_json(v.coaction, "$.coaction"),
     }
 
 
 def projection_to_json(p: HopfProjection) -> dict:
     return {
-        "big": hopf_to_json(p.big),
-        "small": hopf_to_json(p.small),
-        "proj": linmap_to_json(p.proj.lin),
-        "incl": linmap_to_json(p.incl.lin),
+        "big": hopf_to_json(p.big, "$.big"),
+        "small": hopf_to_json(p.small, "$.small"),
+        "proj": linmap_to_json(p.proj.lin, "$.proj"),
+        "incl": linmap_to_json(p.incl.lin, "$.incl"),
     }
 
 
@@ -325,10 +337,13 @@ def crossed_module_to_json(x: GroupCrossedModule) -> dict:
 
 def simplicial_to_json(t: TruncatedSimplicialHopf) -> dict:
     return {
-        "levels": [hopf_to_json(h) for h in t.levels],
-        "faces": [[linmap_to_json(f.lin) for f in fs] for fs in t.faces],
-        "degeneracies": [[linmap_to_json(s.lin) for s in ss]
-                         for ss in t.degens],
+        "levels": [hopf_to_json(h, f"$.levels[{n}]")
+                   for n, h in enumerate(t.levels)],
+        "faces": [[linmap_to_json(f.lin, f"$.faces[{n}][{i}]")
+                   for i, f in enumerate(fs)] for n, fs in enumerate(t.faces)],
+        "degeneracies": [[linmap_to_json(s.lin, f"$.degeneracies[{n}][{i}]")
+                          for i, s in enumerate(ss)]
+                         for n, ss in enumerate(t.degens)],
     }
 
 

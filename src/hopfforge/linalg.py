@@ -19,7 +19,8 @@ never be materialised; ``composite_map`` evaluates a whole pipeline of
 tensor stages instead.  When every map in it is monomial (each column zero
 or a single +-1, as the structure maps, faces and degeneracies of group
 algebras are), the pipeline runs on numpy index arrays, one gather per
-factor; otherwise it runs column by column on sparse vectors.
+factor, and its result is stored as such arrays; otherwise it runs column
+by column on sparse vectors.
 
 A ``Subspace`` is its inclusion and a retraction onto its basis; membership,
 corestriction and subspace equality are composites of them and an equality.
@@ -176,13 +177,15 @@ def _encode(coords, dims) -> int:
 class LinMap:
     """Exact linear map between two spaces.
 
-    Stored as a dict column -> {row: value} with zero entries and zero
-    columns omitted; every value given to ``__init__`` passes through
-    ``rat``.  A monomial map also has a cached array form, see
-    ``monomial``; ``from_monomial`` builds one from its arrays.
+    ``__init__`` stores a dict column -> {row: value} with zero entries
+    and zero columns omitted, every value passed through ``rat``; such a
+    map works out its array form on first use, see ``monomial``.  A map
+    built by ``from_monomial`` is stored as its arrays only, and builds
+    the dict the first time something asks for one: ``column``, ``nnz``,
+    ``is_zero`` and ``first_difference`` read the arrays instead.
     """
 
-    __slots__ = ("dom", "cod", "_cols", "_mono")
+    __slots__ = ("dom", "cod", "_dict", "_mono")
 
     def __init__(self, dom: Space, cod: Space, cols: dict):
         self.dom = dom
@@ -193,7 +196,7 @@ class LinMap:
                  if (w := v if type(v) is int else rat(v))}
             if c:
                 clean[j] = c
-        self._cols = clean
+        self._dict = clean
         self._mono = _UNKNOWN
 
     # -- constructors -------------------------------------------------
@@ -222,8 +225,8 @@ class LinMap:
     def from_monomial(cls, dom: Space, cod: Space, targets,
                       signs=None) -> "LinMap":
         """Column j is signs[j] (default 1, 0 for a zero column) times basis
-        vector targets[j], for int64 arrays; built with its monomial view
-        and without the pass of __init__, as the values are +-1 ints."""
+        vector targets[j], for int64 arrays; stored as those arrays, with
+        no column dict and without the pass of __init__."""
         if signs is None:
             signs = np.ones(dom.dim, dtype=np.int8)
         live = np.flatnonzero(signs)
@@ -232,8 +235,7 @@ class LinMap:
             raise DimensionMismatch("monomial map lands outside its codomain")
         out = cls.__new__(cls)
         out.dom, out.cod = dom, cod
-        out._cols = {j: {i: v} for j, i, v in
-                     zip(live.tolist(), rows.tolist(), signs[live].tolist())}
+        out._dict = None
         out._mono = (np.where(signs != 0, targets, 0), signs)
         return out
 
@@ -247,9 +249,22 @@ class LinMap:
 
     # -- access -------------------------------------------------------
 
+    @property
+    def _cols(self) -> dict:
+        """column -> {row: value}, built from the arrays on first use."""
+        if self._dict is None:
+            t, s = self._mono
+            live = np.flatnonzero(s)
+            self._dict = {j: {i: v} for j, i, v in zip(
+                live.tolist(), t[live].tolist(), s[live].tolist())}
+        return self._dict
+
     def column(self, j: int) -> dict:
         """Column as {row: value}; treat the result as read-only."""
-        return self._cols.get(j, {})
+        if self._dict is None:
+            t, s = self._mono
+            return {int(t[j]): int(s[j])} if 0 <= j < s.size and s[j] else {}
+        return self._dict.get(j, {})
 
     def items(self):
         """Iterate nonzero entries as (row, col, value)."""
@@ -271,7 +286,9 @@ class LinMap:
 
     @property
     def nnz(self) -> int:
-        return sum(len(col) for col in self._cols.values())
+        if self._dict is None:
+            return int(np.count_nonzero(self._mono[1]))
+        return sum(len(col) for col in self._dict.values())
 
     def to_rows(self):
         cells = self.cod.dim * self.dom.dim
@@ -308,7 +325,9 @@ class LinMap:
         return LinMap(self.dom, self.cod, cols)
 
     def is_zero(self) -> bool:
-        return not self._cols
+        if self._dict is None:
+            return not self._mono[1].any()
+        return not self._dict
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -324,16 +343,18 @@ class LinMap:
 
         Returns (row, col, self_value, other_value).  This is the witness
         order used by every checker: the column index is the domain basis
-        vector on which the two sides of a law first disagree.
+        vector on which the two sides of a law first disagree.  When both
+        maps have arrays of one width, they name the first differing column.
         """
         va, vb = self._mono, other._mono
         if (type(va) is tuple and type(vb) is tuple
-                and np.array_equal(va[0], vb[0])
-                and np.array_equal(va[1], vb[1])):
-            return None
-        a, b = self._cols, other._cols
-        for j in sorted(set(a) | set(b)):
-            ca, cb = a.get(j, {}), b.get(j, {})
+                and va[1].size == vb[1].size):
+            (ta, sa), (tb, sb) = va, vb
+            js = np.flatnonzero((ta != tb) | (sa != sb))[:1].tolist()
+        else:
+            js = sorted(set(self._cols) | set(other._cols))
+        for j in js:
+            ca, cb = self.column(j), other.column(j)
             if ca == cb:
                 continue
             for i in sorted(set(ca) | set(cb)):

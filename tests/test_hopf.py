@@ -5,10 +5,12 @@ g^2 = 1, x^2 = 0, xg = -gx with comul(x) = x(x)1 + g(x)x; the group
 algebra oracles come straight from the Cayley tables.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SINGULAR_ANTIPODE, convolution_antipode
 from hopfforge import fixtures, simplicial
@@ -126,14 +128,112 @@ def test_invalid_table_rejected():
     with pytest.raises(InvalidGroup):
         # Latin, row 0 is a left identity; fails associativity first
         GroupTable(["e", "a", "b"], [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
-    # the smallest nonassociative loop: Latin square with identity, order 5
-    loop = [[0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 3, 4, 0, 1],
-            [3, 4, 1, 2, 0],
-            [4, 2, 0, 1, 3]]
     with pytest.raises(InvalidGroup):
-        GroupTable(list("eabcd"), loop)
+        GroupTable(list("eabcd"), LOOP5)
+
+
+#: the smallest nonassociative loop: Latin square with identity, order 5
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 3, 4, 0, 1],
+         [3, 4, 1, 2, 0],
+         [4, 2, 0, 1, 3]]
+
+
+def _cube_refusal(labels, table):
+    """The InvalidGroup message for a table, or None, with associativity
+    checked on all n^3 triples in chunks of 16M cells: the reference for
+    GroupTable's generator-only check."""
+    labels = tuple(str(s) for s in labels)
+    n = len(labels)
+    if len(set(labels)) != n:
+        return "G: duplicate element labels"
+    t = np.asarray(table, dtype=np.int64)
+    if t.shape != (n, n):
+        return f"G: table shape {t.shape}, expected ({n},{n})"
+    if t.min() < 0 or t.max() >= n:
+        return "G: table entries out of range"
+    step = max(1, (1 << 24) // max(n * n, 1))
+    for i0 in range(0, n, step):
+        rows = t[i0:i0 + step]
+        if not np.array_equal(t[rows, :], rows[:, t]):
+            return "G: multiplication is not associative"
+    idn = np.arange(n)
+    e = np.flatnonzero((t == idn).all(axis=1) & (t == idn[:, None]).all(axis=0))
+    if not e.size:
+        return "G: no identity element"
+    inv = np.full(n, -1, dtype=np.int64)
+    rows, cols = np.nonzero(t == e[0])
+    inv[rows] = cols
+    if (inv < 0).any() or not np.array_equal(t[idn, inv], np.full(n, e[0])):
+        return "G: missing inverses"
+    return None
+
+
+def _refusal(labels, table):
+    try:
+        GroupTable(labels, table)
+    except InvalidGroup as e:
+        return str(e)
+    return None
+
+
+# the builtin groups, nerve levels of order 36 and 216, the order-5 loop,
+# a left-zero semigroup (associative, no identity, every element needed to
+# generate it) and the monoid {1, 0} under multiplication (no inverse of 0)
+_TABLES = ([np.asarray(fixtures.builtin_raw(g).table)
+            for g in ("trivial", "c2", "c3", "s3")]
+           + [fixtures.group_nerve("nerve-s3-id").levels[k].table
+              for k in (1, 2)]
+           + [np.asarray(LOOP5), np.repeat(np.arange(4)[:, None], 4, axis=1),
+              np.array([[0, 1], [1, 1]])])
+
+
+@st.composite
+def _tables(draw):
+    """One of _TABLES, maybe relabelled, maybe with two cells or two rows
+    swapped."""
+    t = draw(st.sampled_from(_TABLES)).copy()
+    n = len(t)
+    if draw(st.booleans()):
+        p = np.array(draw(st.permutations(range(n))))
+        u = np.empty_like(t)
+        u[p[:, None], p] = p[t]
+        t = u
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    swap = draw(st.sampled_from(["none", "cell", "row"]))
+    if swap == "cell":
+        a, b = draw(cell), draw(cell)
+        t[a], t[b] = t[b], t[a]
+    elif swap == "row":
+        a, b = draw(cell)
+        t[[a, b]] = t[[b, a]]
+    return t
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_tables())
+def test_generator_check_refuses_what_the_cube_refuses(t):
+    labels = [f"x{i}" for i in range(len(t))]
+    assert _refusal(labels, t) == _cube_refusal(labels, t)
+
+
+def test_cube_reference_sees_every_verdict():
+    verdicts = {_cube_refusal(range(len(t)), t) for t in _TABLES}
+    assert verdicts == {None, "G: multiplication is not associative",
+                        "G: no identity element", "G: missing inverses"}
+
+
+def test_order_216_table_checks_in_little_memory():
+    g = fixtures.group_nerve("nerve-s3-id").levels[2]
+    tracemalloc.start()
+    try:
+        GroupTable(g.labels, g.table, name=g.name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 216
+    assert peak < 8 << 20      # the n^3 cube in 16M-cell chunks: ~170 MB
 
 
 @pytest.mark.parametrize("labels, table, says", [

@@ -5,6 +5,7 @@ rejection carries a $.path so a bad entry can be found in a large file.
 """
 
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ import pytest
 
 from hopfforge import cli, fixtures, io
 from hopfforge.errors import ParseError, SchemaError, UsageError
-from hopfforge.hopf import GroupTable
+from hopfforge.hopf import GroupTable, HopfAlgebra
+from hopfforge.linalg import LinMap, scalar_text
 from hopfforge.yd import projection_yd
 
 
@@ -22,8 +24,36 @@ from hopfforge.yd import projection_yd
 def test_scalar_forms():
     assert io.parse_scalar(3, "$") == Fraction(3)
     assert io.parse_scalar("-2/7", "$") == Fraction(-2, 7)
-    assert io.scalar_to_json(Fraction(3, 2)) == "3/2"
-    assert io.scalar_to_json(Fraction(4, 2)) == 2
+    assert io.scalar_to_json(Fraction(3, 2), "$") == "3/2"
+    assert io.scalar_to_json(Fraction(4, 2), "$") == 2
+
+
+@pytest.mark.parametrize("big", [10 ** 5000, Fraction(1, 10 ** 5000)],
+                         ids=["whole", "fraction"])
+def test_entries_too_long_to_read_back_are_refused_on_writing(sweedler, big):
+    """Past sys.get_int_max_str_digits() digits, neither json.loads nor
+    Fraction reads an entry back, so serialize names it instead."""
+    h = sweedler
+    scaled = HopfAlgebra(h.space, h.mul, h.unit, h.comul, h.counit,
+                         LinMap.from_entries(h.space, h.space,
+                                             {(i, i): big for i in range(4)}))
+    with pytest.raises(SchemaError) as e:
+        io.serialize(scaled)
+    assert str(e.value) == ("$.antipode[0][0]: an entry of more than "
+                            f"{sys.get_int_max_str_digits()} digits cannot "
+                            "be read back from JSON")
+    with pytest.raises(ParseError):     # what reading such an entry gives
+        io.parse_scalar(scalar_text(big), "$")
+
+
+def test_longest_writable_entry_reads_back(sweedler):
+    h = sweedler
+    big = 10 ** (sys.get_int_max_str_digits() - 1)
+    scaled = HopfAlgebra(h.space, h.mul, h.unit, h.comul, h.counit,
+                         LinMap.from_entries(h.space, h.space,
+                                             {(i, i): big for i in range(4)}))
+    back = io.parse_definition(io.dump_json(io.serialize(scaled)))
+    assert back.antipode == scaled.antipode
 
 
 def test_scalar_rejects_floats():

@@ -7,6 +7,7 @@ fails, with no tolerance anywhere.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -208,9 +209,39 @@ def _sparse_reference(dom, cod, stages):
     return linalg._sparse_composite(dom, cod, _prepared(stages))
 
 
+def _through_init(m: LinMap) -> LinMap:
+    """The monomial map m rebuilt by LinMap(...) from its arrays, so
+    stored as a dict."""
+    t, s = m.monomial()
+    return LinMap(m.dom, m.cod, {j: {int(t[j]): int(s[j])}
+                                 for j in np.flatnonzero(s).tolist()})
+
+
+def _reads_like(lazy: LinMap, plain: LinMap, pick: int):
+    """lazy, stored as arrays only, answers as plain does without building
+    its column dict; also against a copy whose column pick % dim changes."""
+    t, s = lazy.monomial()
+    k = pick % s.size
+    s2 = s.copy()
+    s2[k] = -s2[k] if s2[k] else 1
+    other = LinMap.from_monomial(lazy.dom, lazy.cod, t, s2)
+    other_plain = _through_init(other)
+    assert lazy._dict is None and other._dict is None
+    cols = range(-1, lazy.dom.dim + 1)
+    assert [lazy.column(j) for j in cols] == [plain.column(j) for j in cols]
+    assert (lazy.nnz, lazy.is_zero()) == (plain.nnz, plain.is_zero())
+    assert lazy.first_difference(other) == plain.first_difference(other_plain)
+    assert other.first_difference(lazy) == other_plain.first_difference(plain)
+    assert lazy.first_difference(LinMap.from_monomial(
+        lazy.dom, lazy.cod, t, s)) is None
+    assert lazy._dict is None and other._dict is None
+    assert list(lazy.items()) == list(plain.items())
+    assert lazy.to_rows() == plain.to_rows()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_monomial_pipelines(), st.booleans())
-def test_index_arrays_match_sparse_vectors(case, spoil):
+@given(_monomial_pipelines(), st.booleans(), st.integers(0, 1 << 16))
+def test_index_arrays_match_sparse_vectors(case, spoil, pick):
     dom, cod, stages = case
     if spoil:
         stages = _spoil(stages) or stages
@@ -225,6 +256,8 @@ def test_index_arrays_match_sparse_vectors(case, spoil):
         return
     got = linalg._monomial_composite(dom, cod, _prepared(stages))
     assert (got is not None) == monomial
+    if got is not None and cod.dim * dom.dim <= 4096:
+        _reads_like(got, want, pick)
     if got is None:
         assert composite_map(dom, cod, stages) == want
         return
@@ -250,6 +283,23 @@ def test_equal_views_short_cut_the_column_scan():
     m.monomial(), twin.monomial(), other.monomial()
     assert m.first_difference(twin) is None
     assert m.first_difference(other) == (1, 0, -1, 1)
+
+
+def test_array_maps_of_different_widths_differ_where_dicts_do():
+    """A narrower map reads as zero columns past its end, as a dict does;
+    the arrays, of different lengths, are not compared elementwise."""
+    w = _space(2)
+    cases = [([0, 1], [1, -1], [0, 1, 1], [1, -1, 1]),
+             ([0, 1, 0], [1, -1, 0], [0, 1], [1, -1]),
+             ([0, 1], [1, 0], [0, 0, 1], [-1, 0, 1])]
+    found = []
+    for ta, sa, tb, sb in cases:
+        a, b = (LinMap.from_monomial(_space(len(t)), w, np.array(t),
+                                     np.array(s, dtype=np.int8))
+                for t, s in ((ta, sa), (tb, sb)))
+        found.append(a.first_difference(b))
+        assert found[-1] == _through_init(a).first_difference(_through_init(b))
+    assert found == [(1, 2, 0, 1), None, (0, 0, 1, -1)]
 
 
 # -- rank, kernel, inverse: sympy as the independent referee -------------

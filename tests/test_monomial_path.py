@@ -5,7 +5,8 @@ on numpy index arrays; every other runs column by column on sparse
 vectors.  Switching the array path off by monkeypatching must leave every
 report, and every witness of a failing one, byte-identical.  One test
 bounds the work: on a linearized nerve no all-monomial stage list may
-reach the per-column evaluator.  The last sends a pipeline whose index
+reach the per-column evaluator, and few array results build column dicts.
+The last sends a pipeline whose index
 range passes int64 to the sparse evaluator.
 """
 
@@ -103,6 +104,32 @@ def test_monomial_pipelines_skip_the_column_loop(nerve_c2_id, monkeypatch):
     dim2_pipeline(nerve_c2_id)
     assert sum(monomial_calls) > 100
     assert columns == []
+
+
+def test_array_results_build_few_column_dicts(monkeypatch):
+    """A map built from arrays makes its column dicts only when asked; on
+    a fresh nerve-c2-id, verify_simplicial and dim2_pipeline ask for 132
+    (built eagerly, it was 5,206)."""
+    nerve = simplicial.linearize(fixtures.group_nerve("nerve-c2-id"))
+    built = []
+    lazy_cols, column = LinMap._cols, LinMap.column
+
+    def counted_cols(self):
+        if self._dict is None:
+            built.extend(lazy_cols.fget(self))
+        return lazy_cols.fget(self)
+
+    def counted_column(self, j):
+        col = column(self, j)
+        if self._dict is None and col:
+            built.append(j)
+        return col
+
+    monkeypatch.setattr(LinMap, "_cols", property(counted_cols))
+    monkeypatch.setattr(LinMap, "column", counted_column)
+    assert verify_simplicial(nerve).ok
+    assert dim2_pipeline(nerve).report.ok
+    assert 0 < len(built) <= 260, len(built)
 
 
 @pytest.mark.parametrize("back_to_scalar", [False, True],
