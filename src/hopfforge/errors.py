@@ -7,6 +7,8 @@ Three families matter for the CLI exit-code contract:
 * structural inconsistencies discovered mid-computation -> exit 3
 """
 
+from contextlib import contextmanager
+
 
 class HopfForgeError(Exception):
     """Base class for everything raised on purpose by this package."""
@@ -71,3 +73,14 @@ class HypothesisFailed(HopfForgeError):
 
 class NestingError(HopfForgeError):
     """Category nesting deeper than the supported two levels."""
+
+
+@contextmanager
+def closure_is_hypothesis(hint: str):
+    """Re-raise a ClosureFailure as HypothesisFailed (exit 1), the hint
+    appended: where a theorem guarantees a closure, one that fails means
+    the input breaks the theorem's hypothesis.  Also a decorator."""
+    try:
+        yield
+    except ClosureFailure as e:
+        raise HypothesisFailed(f"{e} (hint: {hint})") from e

@@ -102,7 +102,7 @@ def check_hopf(h: HopfAlgebra) -> Report:
     dimensions; simplicial levels are checked through morphism laws instead.
     """
     rep = Report(f"check-hopf {h.name}")
-    S, V = h.space, h.space
+    S = h.space
     mul, unit, comul, counit, ant = h.mul, h.unit, h.comul, h.counit, h.antipode
     R = h.self_braiding()
     sq = tensor_space(S, S)

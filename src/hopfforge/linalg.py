@@ -14,13 +14,11 @@ Conventions:
   the same labels, so H (x) H built twice compares equal, while a space that
   merely has the same dimension does not.
 
-Large structural maps (e.g. id (x) R (x) id on a fourth tensor power) must
-never be materialised; ``composite_map`` evaluates a whole pipeline of
-tensor stages instead.  When every map in it is monomial (each column zero
-or a single +-1, as the structure maps, faces and degeneracies of group
-algebras are), the pipeline runs on numpy index arrays, one gather per
-factor, and its result is stored as such arrays; otherwise it runs column
-by column on sparse vectors.
+Every ``LinMap`` is stored as two padded column arrays (see its
+docstring), and ``_pack`` is the one normaliser that puts entries into
+that form.  Large structural maps (e.g. id (x) R (x) id on a fourth tensor
+power) must never be materialised; ``composite_map`` evaluates a whole
+pipeline of tensor stages on index arrays instead, one gather per factor.
 
 A ``Subspace`` is its inclusion and a retraction onto its basis; membership,
 corestriction and subspace equality are composites of them and an equality.
@@ -29,7 +27,6 @@ corestriction and subspace equality are composites of them and an equality.
 
 from __future__ import annotations
 
-import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -42,11 +39,8 @@ from .errors import ClosureFailure, DimensionCapExceeded, DimensionMismatch
 # this; a 216 x 46656 list of rows is already ten million scalars.
 _MAX_CELLS = 1_048_576
 
-# index arrays are int64, so an index range past this stays on sparse vectors
+# index arrays are int64 up to this width and hold Python ints past it
 _MAX_INDEX = np.iinfo(np.int64).max
-
-# LinMap._mono before monomial() has looked at the columns
-_UNKNOWN = object()
 
 
 def rat(x):
@@ -70,6 +64,11 @@ def scalar_text(x) -> str:
 def _div(a, b):
     """Exact a / b as a scalar (``/`` on two ints would give a float)."""
     return rat(Fraction(a, b))
+
+
+def _index_type(width: int):
+    """dtype of an index array whose values stay below width."""
+    return np.int64 if width <= _MAX_INDEX else object
 
 
 class Space:
@@ -158,46 +157,78 @@ def tensor_space(*spaces: Space) -> Space:
     return Space(_factors=atoms)
 
 
-def _decode(idx: int, dims) -> list:
-    out = []
-    for d in reversed(dims):
-        idx, r = divmod(idx, d)
-        out.append(r)
-    out.reverse()
-    return out
+def _pack(n: int, js, ts, cs):
+    """The canonical (targets, coeffs) arrays of the n-column map with
+    entry cs[e] at row ts[e] of column js[e], for flat arrays.
 
-
-def _encode(coords, dims) -> int:
-    idx = 0
-    for c, d in zip(coords, dims):
-        idx = idx * d + c
-    return idx
+    Entries at one (row, column) are summed, values pass through ``rat``
+    and zeros are dropped; each column's entries are sorted by row and
+    padded with target 0 and coefficient 0 to the longest column.  The
+    coefficients are int8 when every entry is +-1, else Python scalars.
+    """
+    live = np.flatnonzero(cs)
+    order = live[np.lexsort((ts[live], js[live]))]
+    js, ts, cs = js[order], ts[order], cs[order]
+    if cs.dtype != object:
+        cs = cs.astype(np.int64)            # sums of +-1 overflow int8
+    head = np.flatnonzero((np.diff(js, prepend=-1) != 0)
+                          | (np.diff(ts, prepend=-1) != 0))
+    js, ts, cs = js[head], ts[head], np.add.reduceat(cs, head)
+    if cs.dtype == object:
+        cs = np.array([v if type(v) is int else rat(v) for v in cs.tolist()],
+                      dtype=object)
+    live = cs != 0
+    js, ts, cs = js[live], ts[live], cs[live]
+    unit = bool(((cs == 1) | (cs == -1)).all())
+    cs = cs.astype(np.int8 if unit else object)
+    counts = np.bincount(js, minlength=n)
+    pos = np.arange(js.size) - (np.cumsum(counts) - counts)[js]
+    width = int(counts.max())
+    targets = np.zeros((n, width), dtype=ts.dtype)
+    coeffs = np.zeros((n, width), dtype=cs.dtype)
+    targets[js, pos], coeffs[js, pos] = ts, cs
+    return targets, coeffs
 
 
 class LinMap:
-    """Exact linear map between two spaces.
+    """Exact linear map between two spaces, stored as two n x k arrays.
 
-    ``__init__`` stores a dict column -> {row: value} with zero entries
-    and zero columns omitted, every value passed through ``rat``; such a
-    map works out its array form on first use, see ``monomial``.  A map
-    built by ``from_monomial`` is stored as its arrays only, and builds
-    the dict the first time something asks for one: ``column``, ``nnz``,
-    ``is_zero`` and ``first_difference`` read the arrays instead.
+    Row j of ``targets`` and ``coeffs`` holds the nonzero entries of
+    column j in increasing row order, padded with target 0 and coefficient
+    0 up to k, the length of the longest column.  ``coeffs`` is int8 when
+    every entry is +-1, else an object array of ints and Fractions;
+    ``targets`` is int64 unless the codomain passes int64.  The form is
+    canonical, so equal maps have equal arrays, and a monomial map (each
+    column zero or one +-1, as the structure maps, faces and degeneracies
+    of group algebras are) is one with k <= 1 and int8 coefficients.
+    Treat the arrays as read-only.
     """
 
-    __slots__ = ("dom", "cod", "_dict", "_mono")
+    __slots__ = ("dom", "cod", "targets", "coeffs")
 
     def __init__(self, dom: Space, cod: Space, cols: dict):
-        self.dom = dom
-        self.cod = cod
-        clean = {}
+        """cols maps a column to {row: value}, each value through rat."""
+        js, ts, cs = [], [], []
         for j, col in cols.items():
-            c = {i: w for i, v in col.items()
-                 if (w := v if type(v) is int else rat(v))}
-            if c:
-                clean[j] = c
-        self._dict = clean
-        self._mono = _UNKNOWN
+            for i, v in col.items():
+                js.append(j)
+                ts.append(i)
+                cs.append(v if type(v) is int else rat(v))
+        if js and not (0 <= min(js) and max(js) < dom.dim
+                       and 0 <= min(ts) and max(ts) < cod.dim):
+            raise DimensionMismatch("an entry lies outside the map's shape")
+        self.dom, self.cod = dom, cod
+        self.targets, self.coeffs = _pack(
+            dom.dim, np.array(js, dtype=np.int64),
+            np.array(ts, dtype=_index_type(cod.dim)),
+            np.array(cs, dtype=object))
+
+    @classmethod
+    def _of(cls, dom: Space, cod: Space, targets, coeffs) -> "LinMap":
+        """The map with these canonical arrays, taken as given."""
+        out = cls.__new__(cls)
+        out.dom, out.cod, out.targets, out.coeffs = dom, cod, targets, coeffs
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -225,19 +256,16 @@ class LinMap:
     def from_monomial(cls, dom: Space, cod: Space, targets,
                       signs=None) -> "LinMap":
         """Column j is signs[j] (default 1, 0 for a zero column) times basis
-        vector targets[j], for int64 arrays; stored as those arrays, with
-        no column dict and without the pass of __init__."""
+        vector targets[j], for 1-D arrays, without the pass of __init__."""
         if signs is None:
             signs = np.ones(dom.dim, dtype=np.int8)
-        live = np.flatnonzero(signs)
-        rows = targets[live]
-        if rows.size and int(rows.max()) >= cod.dim:
+        live = signs != 0
+        t = np.where(live, targets, 0)
+        if t.size and t.max() >= cod.dim:
             raise DimensionMismatch("monomial map lands outside its codomain")
-        out = cls.__new__(cls)
-        out.dom, out.cod = dom, cod
-        out._dict = None
-        out._mono = (np.where(signs != 0, targets, 0), signs)
-        return out
+        k = int(live.any())
+        return cls._of(dom, cod, t.astype(_index_type(cod.dim))[:, None][:, :k],
+                       signs.astype(np.int8)[:, None][:, :k])
 
     @classmethod
     def identity(cls, space: Space) -> "LinMap":
@@ -249,46 +277,22 @@ class LinMap:
 
     # -- access -------------------------------------------------------
 
-    @property
-    def _cols(self) -> dict:
-        """column -> {row: value}, built from the arrays on first use."""
-        if self._dict is None:
-            t, s = self._mono
-            live = np.flatnonzero(s)
-            self._dict = {j: {i: v} for j, i, v in zip(
-                live.tolist(), t[live].tolist(), s[live].tolist())}
-        return self._dict
-
     def column(self, j: int) -> dict:
-        """Column as {row: value}; treat the result as read-only."""
-        if self._dict is None:
-            t, s = self._mono
-            return {int(t[j]): int(s[j])} if 0 <= j < s.size and s[j] else {}
-        return self._dict.get(j, {})
+        """Column j as {row: value}."""
+        if not 0 <= j < self.dom.dim:
+            return {}
+        return {i: v for i, v in zip(self.targets[j].tolist(),
+                                     self.coeffs[j].tolist()) if v}
 
     def items(self):
-        """Iterate nonzero entries as (row, col, value)."""
-        for j, col in self._cols.items():
-            for i, v in col.items():
-                yield i, j, v
-
-    def monomial(self):
-        """The map as index arrays (targets, signs), or None.
-
-        Column j is signs[j] times basis vector targets[j]; a zero column
-        has sign 0 and target 0, so equal maps have equal arrays.  None
-        when a column has two entries or a value other than +-1.  Worked
-        out on first use and kept: treat the arrays as read-only.
-        """
-        if self._mono is _UNKNOWN:
-            self._mono = _monomial_view(self)
-        return self._mono
+        """Iterate nonzero entries as (row, col, value), column by column."""
+        js, ks = np.nonzero(self.coeffs)
+        return zip(self.targets[js, ks].tolist(), js.tolist(),
+                   self.coeffs[js, ks].tolist())
 
     @property
     def nnz(self) -> int:
-        if self._dict is None:
-            return int(np.count_nonzero(self._mono[1]))
-        return sum(len(col) for col in self._dict.values())
+        return int(np.count_nonzero(self.coeffs))
 
     def to_rows(self):
         cells = self.cod.dim * self.dom.dim
@@ -318,16 +322,14 @@ class LinMap:
     def __sub__(self, other: "LinMap") -> "LinMap":
         if self.dom != other.dom or self.cod != other.cod:
             raise DimensionMismatch("maps have different shapes")
-        cols = {j: dict(col) for j, col in self._cols.items()}
-        for i, j, v in other.items():
-            dst = cols.setdefault(j, {})
-            dst[i] = dst.get(i, 0) - v
-        return LinMap(self.dom, self.cod, cols)
+        n = self.dom.dim
+        t = np.hstack((self.targets, other.targets))
+        c = np.hstack((self.coeffs, -other.coeffs))
+        return LinMap._of(self.dom, self.cod, *_pack(
+            n, np.repeat(np.arange(n), t.shape[1]), t.ravel(), c.ravel()))
 
     def is_zero(self) -> bool:
-        if self._dict is None:
-            return not self._mono[1].any()
-        return not self._dict
+        return not self.coeffs.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -343,47 +345,25 @@ class LinMap:
 
         Returns (row, col, self_value, other_value).  This is the witness
         order used by every checker: the column index is the domain basis
-        vector on which the two sides of a law first disagree.  When both
-        maps have arrays of one width, they name the first differing column.
+        vector on which the two sides of a law first disagree.  The arrays,
+        padded to one shape, name that column; only it is scanned.
         """
-        va, vb = self._mono, other._mono
-        if (type(va) is tuple and type(vb) is tuple
-                and va[1].size == vb[1].size):
-            (ta, sa), (tb, sb) = va, vb
-            js = np.flatnonzero((ta != tb) | (sa != sb))[:1].tolist()
-        else:
-            js = sorted(set(self._cols) | set(other._cols))
-        for j in js:
-            ca, cb = self.column(j), other.column(j)
-            if ca == cb:
-                continue
-            for i in sorted(set(ca) | set(cb)):
-                va, vb = ca.get(i, 0), cb.get(i, 0)
-                if va != vb:
-                    return i, j, va, vb
+        n = max(self.dom.dim, other.dom.dim)
+        k = max(self.coeffs.shape[1], other.coeffs.shape[1])
+        (ta, ca), (tb, cb) = (
+            [a if a.shape == (n, k) else np.pad(
+                a, ((0, n - a.shape[0]), (0, k - a.shape[1])))
+             for a in (m.targets, m.coeffs)] for m in (self, other))
+        differs = ((ta != tb) | (ca != cb)).any(axis=1)
+        for j in np.flatnonzero(differs)[:1].tolist():
+            a, b = self.column(j), other.column(j)
+            for i in sorted(set(a) | set(b)):
+                if a.get(i, 0) != b.get(i, 0):
+                    return i, j, a.get(i, 0), b.get(i, 0)
         return None
 
     def __repr__(self):
         return f"LinMap({self.dom.dim}->{self.cod.dim}, nnz={self.nnz})"
-
-
-def _monomial_view(m: LinMap):
-    """(targets, signs) of ``m`` for LinMap.monomial, or None."""
-    n, rows, cols = m.dom.dim, m.cod.dim, m._cols
-    if rows > _MAX_INDEX or any(len(c) != 1 for c in cols.values()):
-        return None
-    targets = np.zeros(n, dtype=np.int64)
-    signs = np.zeros(n, dtype=np.int8)
-    if not cols:
-        return targets, signs
-    js = list(cols)
-    idx, vals = zip(*(e for c in cols.values() for e in c.items()))
-    if (min(js) < 0 or max(js) >= n or min(idx) < 0 or max(idx) >= rows
-            or not set(vals) <= {1, -1}):
-        return None
-    targets[js] = idx
-    signs[js] = vals
-    return targets, signs
 
 
 def iso_map(dom: Space, cod: Space) -> LinMap:
@@ -410,52 +390,7 @@ def flip(v: Space, w: Space) -> LinMap:
                                 j * v.dim + i)
 
 
-# -- column-wise evaluation of big composites -------------------------
-
-
-def _stage_parts(stage):
-    """Normalise one tensor stage to [(in_dim, out_dim, map_or_None)]."""
-    parts = []
-    for p in stage:
-        if isinstance(p, Space):
-            parts.append((p.dim, p.dim, None))
-        elif isinstance(p, LinMap):
-            parts.append((p.dom.dim, p.cod.dim, p))
-        else:
-            raise TypeError(f"bad tensor-stage part {p!r}")
-    return parts
-
-
-def _apply_tensor_stage(parts, vec: dict) -> dict:
-    in_dims = [p[0] for p in parts]
-    out_dims = [p[1] for p in parts]
-    out: dict = {}
-    for idx, v in vec.items():
-        coords = _decode(idx, in_dims)
-        factor_terms = []
-        dead = False
-        for (indim, outdim, m), c in zip(parts, coords):
-            if m is None:
-                factor_terms.append(((c, 1),))
-            else:
-                col = m.column(c)
-                if not col:
-                    dead = True
-                    break
-                factor_terms.append(tuple(col.items()))
-        if dead:
-            continue
-        for combo in itertools.product(*factor_terms):
-            w = v
-            for _, cv in combo:
-                w = w * cv
-            o = _encode([t[0] for t in combo], out_dims)
-            nv = out.get(o, 0) + w
-            if nv:
-                out[o] = nv
-            elif o in out:
-                del out[o]
-    return out
+# -- evaluation of big composites --------------------------------------
 
 
 def composite_map(dom: Space, cod: Space, stages) -> LinMap:
@@ -466,73 +401,58 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
     Stages apply left to right, so ``[f, g]`` is the composite g . f.
     Intermediate spaces are never constructed -- only index arithmetic --
     which keeps laws like (mul x mul).(id x R x id).(comul x comul)
-    tractable on large group algebras.  A pipeline of monomial maps runs
-    on index arrays (``_monomial_composite``), any other on sparse
-    vectors (``_sparse_composite``); both give the same LinMap.
+    tractable on large group algebras.
+
+    Domain column j is carried as K terms, rows j of an index array t and
+    a coefficient array c.  A stage splits each index into its factors'
+    coordinates and gathers each map's column: one gather when the map
+    has k = 1, else each term becomes k terms.  Terms that may share an
+    index (K > 1) or hold rational coefficients are summed by ``_pack``,
+    so a pipeline of monomial maps stays at K <= 1 and never packs.
+    Indices hold Python ints while a width passes int64.
     """
-    stages = [_stage_parts([st] if isinstance(st, LinMap) else st)
-              for st in stages]
-    out = _monomial_composite(dom, cod, stages)
-    return _sparse_composite(dom, cod, stages) if out is None else out
-
-
-def _sparse_composite(dom: Space, cod: Space, stages) -> LinMap:
-    """composite_map column by column on sparse vectors, for any maps."""
-    cols = {}
-    for j in range(dom.dim):
-        vec = {j: 1}
-        for parts in stages:
-            vec = _apply_tensor_stage(parts, vec)
-            if not vec:
-                break
-        if vec:
-            if max(vec) >= cod.dim:
-                raise DimensionMismatch("composite lands outside codomain")
-            cols[j] = vec
-    return LinMap(dom, cod, cols)
-
-
-def _monomial_composite(dom: Space, cod: Space, stages):
-    """composite_map on index arrays, or None when a map is not monomial,
-    a stage does not take the previous one's output, or an index range
-    would pass int64.
-
-    Each domain column is one (index, sign) pair.  A stage splits the
-    index into its factors' coordinates, sends each through its map as a
-    gather of targets and signs, and joins them again; a zero column
-    leaves sign 0, so the term drops out as on sparse vectors.
-    """
-    plan = []
-    width = dom.dim
-    for parts in stages:
-        if width > _MAX_INDEX or math.prod(p[0] for p in parts) != width:
-            return None
-        step = []
-        for indim, outdim, m in parts:
-            view = None if m is None else m.monomial()
-            if m is not None and view is None:
-                return None
-            step.append((indim, outdim, view))
-        plan.append(step)
+    n = width = dom.dim
+    t = np.arange(n, dtype=np.int64)[:, None]
+    c = np.ones((n, 1), dtype=np.int8)
+    for stage in stages:
+        parts = [(p.dom.dim, p.cod.dim, p) if isinstance(p, LinMap)
+                 else (p.dim, p.dim, None)          # a Space: the identity
+                 for p in ([stage] if isinstance(stage, LinMap) else stage)]
+        if math.prod(p[0] for p in parts) != width:
+            raise DimensionMismatch(f"a stage does not take width {width}")
         width = math.prod(p[1] for p in parts)
-    if width > _MAX_INDEX:
-        return None
-    t = np.arange(dom.dim, dtype=np.int64)
-    s = np.ones(dom.dim, dtype=np.int8)
-    for step in plan:
         coords = []
-        for indim, _, _ in reversed(step[1:]):
-            t, c = np.divmod(t, indim)
-            coords.append(c)
-        coords.append(t)
-        t = 0
-        for (_, outdim, view), c in zip(step, reversed(coords)):
-            if view is not None:
-                c, s = view[0][c], s * view[1][c]
-            t = t * outdim + c
-    if np.any(t[s != 0] >= cod.dim):
+        for indim, _, _ in reversed(parts[1:]):
+            coords.append(t % indim)
+            t = t // indim
+        coords = [t] + coords[::-1]
+        t = None
+        for p, (_, outdim, m) in enumerate(parts):
+            x = coords[p]
+            if m is not None:
+                x = x.astype(np.int64, copy=False)
+                k = m.coeffs.shape[1]
+                if k == 1:
+                    c = c * m.coeffs[:, 0][x]
+                    x = m.targets[:, 0][x]
+                else:
+                    size = c.shape[1] * k
+                    c = (c[:, :, None] * m.coeffs[x]).reshape(n, size)
+                    x = m.targets[x].reshape(n, size)
+                    t = None if t is None else np.repeat(t, k, axis=1)
+                    coords[p + 1:] = [np.repeat(y, k, axis=1)
+                                      for y in coords[p + 1:]]
+            t = (x.astype(_index_type(width), copy=False) if t is None
+                 else t * outdim + x)
+        if c.shape[1] > 1 or c.dtype == object:
+            t, c = _pack(n, np.repeat(np.arange(n), c.shape[1]),
+                         t.ravel(), c.ravel())
+    if c.dtype != object and c.shape[1] == 1:
+        t = np.where(c != 0, t, 0)[:, :int(c.any())]
+        c = c[:, :t.shape[1]]
+    if t.size and t.max() >= cod.dim:
         raise DimensionMismatch("composite lands outside codomain")
-    return LinMap.from_monomial(dom, cod, t, s)
+    return LinMap._of(dom, cod, t.astype(_index_type(cod.dim), copy=False), c)
 
 
 # -- elimination ------------------------------------------------------
@@ -701,7 +621,7 @@ class Subspace:
         if m.cod != self.ambient:
             raise DimensionMismatch("codomain is not the ambient space")
         if self.space is None:
-            return None, min(m._cols, default=None)
+            return None, next((j for _, j, _ in m.items()), None)
         x = self.retraction @ m
         diff = (self.inclusion @ x).first_difference(m)
         return x, None if diff is None else diff[1]

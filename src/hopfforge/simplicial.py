@@ -24,13 +24,13 @@ The Moore-complex oracle recomputes the same answers by raw element
 enumeration, giving the linear pipeline something independent to agree with.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ClosureFailure, DimensionMismatch, HypothesisFailed,
-                     InvalidCrossedModule, InvalidGroup, UsageError)
+                     InvalidCrossedModule, InvalidGroup, UsageError,
+                     closure_is_hypothesis)
 from .linalg import (LinMap, SCALAR, Subspace, composite_map, flip, iso_map,
                      tensor_space)
 from .report import Report
@@ -398,17 +398,10 @@ class NestedKernel:
     in_ambient: Subspace
 
 
-@contextmanager
-def _simplicial_hypothesis():
-    """Re-raise a ClosureFailure as HypothesisFailed (exit 1): a map leaving
-    a kernel of the tower, or a nested split pair failing Radford's
-    identities, means the input breaks a simplicial identity."""
-    try:
-        yield
-    except ClosureFailure as e:
-        raise HypothesisFailed(
-            f"{e} (hint: the faces and degeneracies of this input break a "
-            "simplicial identity; simplicial-check names it)") from e
+#: a map leaving a kernel of the tower, or a nested split pair failing
+#: Radford's identities, means the input breaks a simplicial identity
+_BREAKS_SIMPLICIAL = ("the faces and degeneracies of this input break a "
+                      "simplicial identity; simplicial-check names it")
 
 
 def _tower_step(t: TruncatedSimplicialHopf, n: int, below: RKerResult):
@@ -421,7 +414,7 @@ def _tower_step(t: TruncatedSimplicialHopf, n: int, below: RKerResult):
     top = level_rker(t, n, 0, 0)
     what = f"A{n}(2,1)"
     a = top.braided
-    with _simplicial_hypothesis():
+    with closure_is_hypothesis(_BREAKS_SIMPLICIAL):
         d2 = below.subspace.corestrict(
             t.faces[n][2].lin @ top.subspace.inclusion,
             what=f"d2 on A{n}(0,0)")
@@ -467,7 +460,7 @@ def dim2_pipeline(t: TruncatedSimplicialHopf) -> PipelineResult:
     # d2 s0 = s0 d1, so d2(s0(h') b s0(Sh'')) = s0 d1(h)' d2(b) s0 S d1(h)''
     # and the action square of d2 commutes only for the (d1, s0) lift.
     lifted = pushforward_braided(level_projection(t, 1, 1, 0), a100.braided)
-    with _simplicial_hypothesis():
+    with closure_is_hypothesis(_BREAKS_SIMPLICIAL):
         d1 = a100.subspace.corestrict(
             t.faces[2][1].lin @ a200.subspace.inclusion, what="d1 on A2(0,0)")
     idh1 = HopfMorphism(h1, h1, LinMap.identity(h1.space), name="id")

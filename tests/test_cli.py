@@ -315,3 +315,17 @@ def test_exit_codes_over_every_command_and_builtin(capsys):
             if code == 0:
                 answered.add(tuple(argv[:3]))
     assert answered == recorded
+
+
+@pytest.mark.parametrize("cmd", ["kernel-generators", "braided-hopf",
+                                 "bosonise", "radford-iso", "pushforward"])
+def test_projection_of_a_non_hopf_algebra_exits_one(capsys, cmd):
+    """Both legs are Hopf morphisms, but the big multiplication is not
+    associative, so Radford's identities fail: the input broke a
+    hypothesis (exit 1), nothing inside did."""
+    doc = io.serialize(fixtures.builtin_raw("proj-sweedler"))
+    doc["big"]["mul"][2][13] = 2 ** 64
+    assert cli.main([cmd, "--input", json.dumps(doc)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "breaks a Hopf axiom" in out.err

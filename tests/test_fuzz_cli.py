@@ -1,0 +1,99 @@
+"""The exit-code contract on malformed documents.
+
+A derandomised Hypothesis search mutates the serialized ``sweedler``,
+``proj-sweedler``, ``c2`` and ``nerve-c2-id`` documents -- a scalar or a
+whole node swapped for a huge int, a "p/q" string, a float, a bool, null,
+a small int (which breaks a group table's associativity or identity) or
+a list of the wrong shape -- and runs a command on the result.  Whatever
+the input, the CLI must answer 0, 1 or 2, and an exit 2 must print
+nothing on stdout: nothing in the input may reach exit 3.
+"""
+
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+from hypothesis import given, settings, strategies as st
+
+from hopfforge import cli, fixtures
+from hopfforge.io import serialize
+
+DOCS = {name: serialize(fixtures.builtin_raw(name))
+        for name in ("sweedler", "proj-sweedler", "c2", "nerve-c2-id")}
+
+#: the commands that take each document; any command may be drawn too
+PROJECTION = ["rker", "kernel-generators", "braided-hopf", "bosonise",
+              "radford-iso", "pushforward", "check-yd"]
+COMMANDS = {
+    "sweedler": ["check-hopf", "check-yd"],
+    "proj-sweedler": PROJECTION,
+    "c2": ["check-hopf", "check-yd", "nerve", "linearize", "moore-oracle"],
+    "nerve-c2-id": ["simplicial-check", "pipeline", "peiffer", "extract-xmod",
+                    "check-restriction", "linearize"] + PROJECTION,
+}
+EVERY_COMMAND = sorted({c for cmds in COMMANDS.values() for c in cmds})
+
+#: values that stand in for a scalar or a whole node
+SCALARS = [2 ** 64, -(10 ** 40), 10 ** 400, "1/2", "-3/7", "2/2", "1/0",
+           "x", "", 0.5, 1.0, 1e300, True, False, None, 0, 1, 2, -1, 7]
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, the root aside."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    """doc with the node at path replaced by value(old node)."""
+    out = json.loads(json.dumps(doc))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value(node[path[-1]])
+    return out
+
+
+#: what a mutation does to the node it picks
+EDITS = [lambda x: x[:-1] if isinstance(x, list) else [x],
+         lambda x: x + x[:1] if isinstance(x, list) else [x, x],
+         lambda x: [],
+         lambda x: x[::-1] if isinstance(x, list) else {"k": x}]
+
+
+@st.composite
+def _mutated(draw):
+    name = draw(st.sampled_from(sorted(DOCS)))
+    doc = DOCS[name]
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        path = draw(st.sampled_from(paths))
+        if draw(st.integers(0, 3)) == 0:
+            edit = draw(st.sampled_from(EDITS))
+        else:
+            value = draw(st.sampled_from(SCALARS))
+            edit = lambda _, v=value: v     # noqa: E731
+        doc = _replace(doc, path, edit)
+    anything = draw(st.integers(0, 7)) == 7
+    return doc, draw(st.sampled_from(EVERY_COMMAND if anything
+                                     else COMMANDS[name]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mutated())
+def test_mutated_documents_exit_0_1_or_2(case):
+    doc, command = case
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([command, "--input", json.dumps(doc), "--json",
+                         "--level", "1"])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""

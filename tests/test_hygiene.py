@@ -1,9 +1,9 @@
-"""Source hygiene of the package: no import goes unused and no private
-module-level name is left without a reference, so a change that folds one
-implementation into another cannot leave its orphans behind; no module
-imports another module's private name; and every client imports a name
-from the module that defines it, so no second path to a name (a
-re-exporting facade) can grow back."""
+"""Source hygiene of the package: no import goes unused, no local name is
+bound and never read, and no private module-level name is left without a
+reference, so a change that folds one implementation into another cannot
+leave its orphans behind; no module imports another module's private
+name; and every client imports a name from the module that defines it,
+so no second path to a name (a re-exporting facade) can grow back."""
 
 import ast
 from pathlib import Path
@@ -111,3 +111,31 @@ def test_every_import_names_the_defining_module():
              for a in node.names
              if a.name not in defined.get(node.module, ())]
     assert wrong == []
+
+
+def _unread_locals(tree: ast.Module) -> list:
+    """(function, name) for each local name a function binds and never
+    reads, names with a leading "_" aside.  Reads inside nested functions
+    count, and ``del``, ``global``, ``nonlocal`` and ``x += ...`` read."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, read = set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                (bound if isinstance(node.ctx, ast.Store) else read).add(
+                    node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.AugAssign):
+                read.update(n.id for n in ast.walk(node.target)
+                            if isinstance(n, ast.Name))
+        out.extend((fn.name, name) for name in sorted(bound - read)
+                   if not name.startswith("_"))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_name_is_read(path):
+    assert _unread_locals(_tree(path)) == []

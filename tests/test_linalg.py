@@ -12,7 +12,6 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from hopfforge import linalg
 from hopfforge.errors import ClosureFailure, DimensionMismatch
 from hopfforge.linalg import (SCALAR, LinMap, RowReducer, Space, Subspace,
                               composite_map, flip,
@@ -20,6 +19,8 @@ from hopfforge.linalg import (SCALAR, LinMap, RowReducer, Space, Subspace,
                               left_unitor, rank, rat, right_unitor, solve,
                               tensor_space, tensor_subspace, try_inverse)
 from hopfforge.simplicial import check_restriction
+
+import sparse_reference
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
@@ -136,30 +137,46 @@ def test_composite_map_equals_naive_chain():
     assert got == want
 
 
-# -- monomial pipelines: index arrays against sparse vectors -------------
+# -- the array engine against the column-by-column reference -------------
 
 
 def _space(d: int) -> Space:
     return SCALAR if d == 1 else Space([f"e{i}" for i in range(d)])
 
 
+#: entries of general maps: units, whole scalars and fractions whose
+#: products come back whole (2 * 1/2), so sums can cancel and Fractions
+#: can turn into ints on the way
+_SCALARS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+
+
 @st.composite
-def _monomial_maps(draw, dom: Space, cod: Space) -> LinMap:
-    """Each column zero or +-1 times one basis vector."""
+def _maps(draw, dom: Space, cod: Space, monomial: bool) -> LinMap:
+    """Each column zero or +-1 times one basis vector when monomial, else
+    up to three entries drawn from _SCALARS (a column may be zero)."""
     cols = {}
     for j in range(dom.dim):
-        i = draw(st.integers(-1, cod.dim - 1))    # -1: a zero column
-        if i >= 0:
-            cols[j] = {i: draw(st.sampled_from([1, -1]))}
+        if all(draw(st.booleans()) for _ in range(3)):
+            continue                                # a zero column
+        rows = draw(st.lists(st.integers(0, cod.dim - 1), min_size=1,
+                             max_size=1 if monomial else 3))
+        cols[j] = {i: draw(st.sampled_from(_SCALARS[:2] if monomial
+                                           else _SCALARS)) for i in rows}
     return LinMap(dom, cod, cols)
 
 
 @st.composite
-def _monomial_pipelines(draw):
-    """(dom, cod, stages): plain maps onto fresh factorisations and tensor
-    stages whose parts are maps or identity Spaces, SCALAR among them.
+def _pipelines(draw):
+    """(dom, cod, stages, monomial): plain maps onto fresh factorisations
+    and tensor stages whose parts are maps or identity Spaces, SCALAR
+    among them; every map is monomial, or each is general by a coin.
     The codomain is sometimes one short, so the composite may land
     outside it."""
+    monomial = draw(st.booleans())
+
+    def a_map(dom, cod):
+        return draw(_maps(dom, cod, monomial or draw(st.booleans())))
+
     factor_dims = st.lists(st.integers(1, 3), min_size=1, max_size=3)
     factors = [_space(d) for d in draw(factor_dims)]
     dom = tensor_space(*factors)
@@ -169,125 +186,173 @@ def _monomial_pipelines(draw):
             parts, new = [], []
             for f in factors:
                 g = f if draw(st.booleans()) else _space(draw(st.integers(1, 3)))
-                parts.append(f if g is f else draw(_monomial_maps(f, g)))
+                parts.append(f if g is f else a_map(f, g))
                 new.append(g)
             stages.append(parts)
         else:
             new = [_space(d) for d in draw(factor_dims)]
-            stages.append(draw(_monomial_maps(tensor_space(*factors),
-                                              tensor_space(*new))))
+            stages.append(a_map(tensor_space(*factors), tensor_space(*new)))
         factors = new
     cod = tensor_space(*factors)
     if cod.dim > 1 and draw(st.booleans()):
         cod = Space([f"e{i}" for i in range(cod.dim - 1)])
-    return dom, cod, stages
+    return dom, cod, stages, monomial
 
 
-def _spoil(stages):
-    """The stages with their first map's column 0 replaced by 2 e_0, so
-    that map is no longer monomial; None when no stage holds a map."""
-    for k, st_ in enumerate(stages):
-        for p, m in enumerate([st_] if isinstance(st_, LinMap) else st_):
-            if isinstance(m, LinMap):
-                entries = {(i, j): v for i, j, v in m.items() if j != 0}
-                entries[0, 0] = 2
-                bad = LinMap.from_entries(m.dom, m.cod, entries)
-                out = list(stages)
-                out[k] = bad if isinstance(st_, LinMap) else \
-                    st_[:p] + [bad] + st_[p + 1:]
-                return out
+def _cols(m: LinMap) -> dict:
+    return {j: m.column(j) for j in range(m.dom.dim)}
+
+
+def _dict_first_difference(a: dict, b: dict):
+    """LinMap.first_difference on column dicts: every column is scanned."""
+    for j in sorted(set(a) | set(b)):
+        ca, cb = a.get(j, {}), b.get(j, {})
+        for i in sorted(set(ca) | set(cb)):
+            if ca.get(i, 0) != cb.get(i, 0):
+                return i, j, ca.get(i, 0), cb.get(i, 0)
     return None
 
 
-def _prepared(stages):
-    """The stages in the part-list form both engines take."""
-    return [linalg._stage_parts([s] if isinstance(s, LinMap) else s)
-            for s in stages]
+def _same_arrays(a: LinMap, b: LinMap) -> bool:
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and bool((x == y).all())
+               for x, y in ((a.targets, b.targets), (a.coeffs, b.coeffs)))
 
 
-def _sparse_reference(dom, cod, stages):
-    return linalg._sparse_composite(dom, cod, _prepared(stages))
+def _is_canonical(m: LinMap) -> bool:
+    """Each row: strictly increasing targets over the nonzero entries,
+    then padding (target 0, coefficient 0); the longest has no padding;
+    int8 coefficients exactly when every entry is +-1."""
+    t, c = m.targets, m.coeffs
+    values = [v for _, _, v in m.items()]
+    for tr, cr in zip(t.tolist(), c.tolist()):
+        live = sum(1 for v in cr if v)
+        if any(cr[live:]) or any(tr[live:]) or not all(cr[:live]) \
+                or tr[:live] != sorted(set(tr[:live])):
+            return False
+    widest = max((sum(1 for v in cr if v) for cr in c.tolist()), default=0)
+    unit = all(v in (1, -1) for v in values)
+    return (c.shape[1] == widest and (c.dtype == np.int8) == unit
+            and all(type(v) is int or v.denominator != 1 for v in values))
 
 
-def _through_init(m: LinMap) -> LinMap:
-    """The monomial map m rebuilt by LinMap(...) from its arrays, so
-    stored as a dict."""
-    t, s = m.monomial()
-    return LinMap(m.dom, m.cod, {j: {int(t[j]): int(s[j])}
-                                 for j in np.flatnonzero(s).tolist()})
+def _reads_like_its_columns(m: LinMap, pick: int):
+    """column, nnz, is_zero, to_rows and first_difference (against a copy
+    with one column changed, both ways) agree with the column dicts."""
+    cols = _cols(m)
+    k = pick % m.dom.dim
+    changed = {j: dict(c) for j, c in cols.items()}
+    col = changed[k]
+    if col:
+        i = min(col)
+        col[i] = -col[i]
+    else:
+        col[pick % m.cod.dim] = Fraction(1, 3)
+    other = LinMap(m.dom, m.cod, changed)
+    assert m.column(-1) == m.column(m.dom.dim) == {}
+    assert m.nnz == sum(map(len, cols.values()))
+    assert m.is_zero() == (m.nnz == 0)
+    assert m.first_difference(other) == _dict_first_difference(cols, changed)
+    assert other.first_difference(m) == _dict_first_difference(changed, cols)
+    assert m.first_difference(LinMap(m.dom, m.cod, cols)) is None
+    if m.cod.dim * m.dom.dim <= 4096:
+        rows = [[cols[j].get(i, 0) for j in range(m.dom.dim)]
+                for i in range(m.cod.dim)]
+        assert m.to_rows() == rows
 
 
-def _reads_like(lazy: LinMap, plain: LinMap, pick: int):
-    """lazy, stored as arrays only, answers as plain does without building
-    its column dict; also against a copy whose column pick % dim changes."""
-    t, s = lazy.monomial()
-    k = pick % s.size
-    s2 = s.copy()
-    s2[k] = -s2[k] if s2[k] else 1
-    other = LinMap.from_monomial(lazy.dom, lazy.cod, t, s2)
-    other_plain = _through_init(other)
-    assert lazy._dict is None and other._dict is None
-    cols = range(-1, lazy.dom.dim + 1)
-    assert [lazy.column(j) for j in cols] == [plain.column(j) for j in cols]
-    assert (lazy.nnz, lazy.is_zero()) == (plain.nnz, plain.is_zero())
-    assert lazy.first_difference(other) == plain.first_difference(other_plain)
-    assert other.first_difference(lazy) == other_plain.first_difference(plain)
-    assert lazy.first_difference(LinMap.from_monomial(
-        lazy.dom, lazy.cod, t, s)) is None
-    assert lazy._dict is None and other._dict is None
-    assert list(lazy.items()) == list(plain.items())
-    assert lazy.to_rows() == plain.to_rows()
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(_monomial_pipelines(), st.booleans(), st.integers(0, 1 << 16))
-def test_index_arrays_match_sparse_vectors(case, spoil, pick):
-    dom, cod, stages = case
-    if spoil:
-        stages = _spoil(stages) or stages
-    monomial = all(m.monomial() is not None for s in stages
-                   for m in ([s] if isinstance(s, LinMap) else s)
-                   if isinstance(m, LinMap))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pipelines(), st.integers(0, 1 << 16))
+def test_index_arrays_match_sparse_vectors(case, pick):
+    """The engine gives the reference's map: equal, with the same entries
+    in the same order, whole values as ints, and canonical arrays."""
+    dom, cod, stages, monomial = case
     try:
-        want = _sparse_reference(dom, cod, stages)
+        want = sparse_reference.composite_map(dom, cod, stages)
     except DimensionMismatch as e:
         with pytest.raises(DimensionMismatch, match=str(e)):
             composite_map(dom, cod, stages)
         return
-    got = linalg._monomial_composite(dom, cod, _prepared(stages))
-    assert (got is not None) == monomial
-    if got is not None and cod.dim * dom.dim <= 4096:
-        _reads_like(got, want, pick)
-    if got is None:
-        assert composite_map(dom, cod, stages) == want
-        return
+    got = composite_map(dom, cod, stages)
     assert got == want and list(got.items()) == list(want.items())
-    assert all(type(v) is int for _, _, v in got.items())
-    g, w = got.monomial(), want.monomial()
-    assert (g[0] == w[0]).all() and (g[1] == w[1]).all()
+    assert _is_canonical(got)
+    assert _same_arrays(got, want)
+    assert _same_arrays(got, LinMap(dom, cod, _cols(got)))
+    if monomial:
+        assert got.coeffs.dtype == np.int8 and got.coeffs.shape[1] <= 1
+    _reads_like_its_columns(got, pick)
 
 
-def test_monomial_view_refuses_other_values():
+def test_storage_follows_the_entries():
+    """k is the longest column, and coefficients are int8 exactly when
+    every entry is +-1, so a monomial map is k == 1 with int8."""
     v = Space(["a", "b"])
-    assert LinMap.from_rows(v, v, [[0, -1], [1, 0]]).monomial() is not None
-    for rows in ([[2, 0], [0, 1]], [[1, 1], [0, 1]], [["1/2", 0], [0, 1]]):
-        assert LinMap.from_rows(v, v, rows).monomial() is None
+    shapes = {}
+    for rows in ([[0, -1], [1, 0]], [[2, 0], [0, 1]], [[1, 1], [0, 1]],
+                 [["1/2", 0], [0, 1]], [[0, 0], [0, 0]], [["2/2", 0], [0, 0]]):
+        m = LinMap.from_rows(v, v, rows)
+        shapes[str(rows)] = (m.coeffs.shape[1], m.coeffs.dtype == np.int8)
+        assert _is_canonical(m)
+    assert list(shapes.values()) == [(1, True), (1, False), (2, True),
+                                     (1, False), (0, True), (1, True)]
 
 
-def test_equal_views_short_cut_the_column_scan():
+def test_equal_maps_have_equal_arrays():
     v = Space(["a", "b", "c"])
     m = LinMap.from_rows(v, v, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    twin = LinMap.from_rows(v, v, m.to_rows())
+    backwards = LinMap(v, v, {1: {0: 1}, 0: {1: -1}, 2: {2: 0}})
     other = LinMap.from_rows(v, v, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    assert m.first_difference(twin) is None
-    m.monomial(), twin.monomial(), other.monomial()
-    assert m.first_difference(twin) is None
+    assert _same_arrays(m, backwards) and m.first_difference(backwards) is None
+    assert _same_arrays(m, LinMap.from_monomial(
+        v, v, np.array([1, 0, 2]), np.array([-1, 1, 0], dtype=np.int8)))
     assert m.first_difference(other) == (1, 0, -1, 1)
+
+
+def test_difference_sums_cancel_to_canonical_arrays():
+    v = Space(["a", "b"])
+    m = LinMap.from_rows(v, v, [[1, "1/2"], [1, -3]])
+    n = LinMap.from_rows(v, v, [[0, "1/2"], [1, -1]])
+    d = m - n
+    assert _same_arrays(d, LinMap.from_rows(v, v, [[1, 0], [0, -2]]))
+    assert _same_arrays(m - m, LinMap.zero(v, v))
+    assert type(d.column(1)[1]) is int
+
+
+def test_composite_terms_cancel_and_fractions_turn_whole():
+    """g . f sums e_1 - e_1 to a zero column, and h . g . f takes column 1
+    from -1/2 e_1 to the int -1 e_0, so the result is stored as a
+    monomial map."""
+    v = Space(["a", "b"])
+    f = LinMap.from_rows(v, v, [[1, 0], [1, "1/2"]])
+    g = LinMap.from_rows(v, v, [[0, 0], [1, -1]])
+    h = LinMap.from_rows(v, v, [[0, 2], [0, 0]])
+    assert composite_map(v, v, [f, g]) == LinMap.from_rows(
+        v, v, [[0, 0], [0, Fraction(-1, 2)]])
+    hgf = composite_map(v, v, [f, g, h])
+    assert list(hgf.items()) == [(0, 1, -1)] and type(hgf.column(1)[0]) is int
+    assert _same_arrays(hgf, LinMap.from_monomial(
+        v, v, np.array([0, 0]), np.array([0, -1], dtype=np.int8)))
+
+
+def test_entries_outside_the_shape_are_refused():
+    v = Space(["a", "b"])
+    for cols in ({2: {0: 1}}, {0: {2: 1}}, {-1: {0: 1}}, {0: {-1: 1}}):
+        with pytest.raises(DimensionMismatch):
+            LinMap(v, v, cols)
+
+
+def test_stages_that_do_not_chain_are_refused():
+    v, w = Space(["a", "b"]), Space(["x", "y", "z"])
+    f = LinMap.identity(w)
+    with pytest.raises(DimensionMismatch):
+        composite_map(v, w, [f])
+    with pytest.raises(DimensionMismatch):
+        composite_map(v, v, [[v, v]])
 
 
 def test_array_maps_of_different_widths_differ_where_dicts_do():
     """A narrower map reads as zero columns past its end, as a dict does;
-    the arrays, of different lengths, are not compared elementwise."""
+    its arrays are padded to the wider map's before they are compared."""
     w = _space(2)
     cases = [([0, 1], [1, -1], [0, 1, 1], [1, -1, 1]),
              ([0, 1, 0], [1, -1, 0], [0, 1], [1, -1]),
@@ -298,8 +363,11 @@ def test_array_maps_of_different_widths_differ_where_dicts_do():
                                      np.array(s, dtype=np.int8))
                 for t, s in ((ta, sa), (tb, sb)))
         found.append(a.first_difference(b))
-        assert found[-1] == _through_init(a).first_difference(_through_init(b))
+        assert found[-1] == _dict_first_difference(_cols(a), _cols(b))
     assert found == [(1, 2, 0, 1), None, (0, 0, 1, -1)]
+    wide = LinMap.from_rows(_space(3), w, [[1, 0, "1/2"], [1, 0, 0]])
+    assert wide.first_difference(a) == (1, 0, 1, 0)
+    assert a.first_difference(wide) == (1, 0, 0, 1)
 
 
 # -- rank, kernel, inverse: sympy as the independent referee -------------

@@ -1,24 +1,28 @@
-"""The index-array path of ``composite_map`` against the sparse evaluator.
+"""The array engine of ``composite_map`` against the sparse reference.
 
-A pipeline whose maps are all monomial (each column zero or one +-1) runs
-on numpy index arrays; every other runs column by column on sparse
-vectors.  Switching the array path off by monkeypatching must leave every
-report, and every witness of a failing one, byte-identical.  One test
-bounds the work: on a linearized nerve no all-monomial stage list may
-reach the per-column evaluator, and few array results build column dicts.
-The last sends a pipeline whose index
-range passes int64 to the sparse evaluator.
+Every pipeline runs on index arrays; ``sparse_reference`` evaluates the
+same pipelines column by column on sparse vectors.  Putting the
+reference in place of ``composite_map`` must leave every report, and
+every witness of a failing one, byte-identical.  Two tests bound the
+work on a linearized nerve: no pipeline of monomial maps (each column
+zero or one +-1) reaches the ``_pack`` normaliser, and few entries are
+read back from the arrays as Python dicts.  The last sends a pipeline
+whose index range passes int64 through both engines.
 """
 
+import numpy as np
 import pytest
 
-from hopfforge import cli, fixtures, hopf, io, linalg, radford, simplicial, yd
+import sparse_reference
+from hopfforge import (cli, fixtures, hopf, io, linalg, radford, simplicial,
+                       yd)
 from hopfforge.linalg import SCALAR, LinMap, Space, tensor_space
 from hopfforge.simplicial import dim2_pipeline, verify_simplicial
 
 COMMANDS = ["check-hopf", "simplicial-check", "pipeline", "peiffer",
             "extract-xmod"]
 SMALL = [n for n in fixtures.BUILTIN_NAMES if not fixtures.builtin_is_large(n)]
+CLIENTS = (linalg, hopf, radford, yd, simplicial, cli)
 
 
 def _answers(capsys) -> dict:
@@ -33,9 +37,15 @@ def _answers(capsys) -> dict:
     return out
 
 
+def _use_reference(monkeypatch):
+    for mod in CLIENTS:
+        monkeypatch.setattr(mod, "composite_map",
+                            sparse_reference.composite_map)
+
+
 def test_cli_json_is_the_same_on_sparse_vectors(capsys, monkeypatch):
     arrays = _answers(capsys)
-    monkeypatch.setattr(linalg, "_monomial_composite", lambda *args: None)
+    _use_reference(monkeypatch)
     assert _answers(capsys) == arrays
     assert sum(code == 0 for code, _ in arrays.values()) >= 10
 
@@ -57,9 +67,10 @@ def test_mutated_face_fails_with_the_same_witness(mutate, monkeypatch):
     doc = io.serialize(fixtures.builtin_raw("nerve-c2-id"))
     mutate(doc["faces"][2][1])
     t = io.parse_definition(doc)
-    assert t.faces[2][1].lin.monomial() is not None
+    face = t.faces[2][1].lin
+    assert face.coeffs.dtype == np.int8 and face.coeffs.shape[1] == 1
     arrays = verify_simplicial(t)
-    monkeypatch.setattr(linalg, "_monomial_composite", lambda *args: None)
+    _use_reference(monkeypatch)
     sparse = verify_simplicial(io.parse_definition(doc))
     assert not arrays.ok
     assert arrays.failed()[0] == sparse.failed()[0]
@@ -67,17 +78,19 @@ def test_mutated_face_fails_with_the_same_witness(mutate, monkeypatch):
 
 
 def _is_monomial(m: LinMap) -> bool:
-    """Independent of LinMap.monomial: every entry +-1, one per column."""
+    """Independent of the storage: every entry +-1, one per column."""
     entries = list(m.items())
     return (all(v in (1, -1) for _, _, v in entries)
             and len({j for _, j, _ in entries}) == len(entries))
 
 
 def test_monomial_pipelines_skip_the_column_loop(nerve_c2_id, monkeypatch):
-    real = linalg.composite_map
+    """A pipeline of monomial maps carries one term per column throughout,
+    so it never sums terms through ``_pack``."""
+    real, pack = linalg.composite_map, linalg._pack
     inside = []         # per open composite_map call: are its maps monomial?
     monomial_calls = []
-    columns = []
+    packed = []
 
     def watching(dom, cod, stages):
         maps = [m for s in stages for m in ([s] if isinstance(s, LinMap)
@@ -89,55 +102,53 @@ def test_monomial_pipelines_skip_the_column_loop(nerve_c2_id, monkeypatch):
         finally:
             inside.pop()
 
-    def counting(fn):
-        def wrapped(*args):
-            if inside and inside[-1]:
-                columns.append(fn.__name__)
-            return fn(*args)
-        return wrapped
+    def counted_pack(*args):
+        if inside and inside[-1]:
+            packed.append(args[0])
+        return pack(*args)
 
-    for mod in (linalg, hopf, radford, yd, simplicial):
+    for mod in CLIENTS:
         monkeypatch.setattr(mod, "composite_map", watching)
-    monkeypatch.setattr(linalg, "_apply_tensor_stage",
-                        counting(linalg._apply_tensor_stage))
+    monkeypatch.setattr(linalg, "_pack", counted_pack)
     verify_simplicial(nerve_c2_id)
     dim2_pipeline(nerve_c2_id)
     assert sum(monomial_calls) > 100
-    assert columns == []
+    assert packed == []
 
 
-def test_array_results_build_few_column_dicts(monkeypatch):
-    """A map built from arrays makes its column dicts only when asked; on
-    a fresh nerve-c2-id, verify_simplicial and dim2_pipeline ask for 132
-    (built eagerly, it was 5,206)."""
+def test_few_entries_are_read_back_from_arrays(monkeypatch):
+    """Maps are read as Python dicts only where a column or all entries
+    are asked for; on a fresh nerve-c2-id, verify_simplicial and
+    dim2_pipeline read back 26 entries through column and items (the
+    column dicts of monomial results alone once numbered 5,206)."""
     nerve = simplicial.linearize(fixtures.group_nerve("nerve-c2-id"))
-    built = []
-    lazy_cols, column = LinMap._cols, LinMap.column
-
-    def counted_cols(self):
-        if self._dict is None:
-            built.extend(lazy_cols.fget(self))
-        return lazy_cols.fget(self)
+    read = []
+    column, items = LinMap.column, LinMap.items
 
     def counted_column(self, j):
         col = column(self, j)
-        if self._dict is None and col:
-            built.append(j)
+        read.extend(col)
         return col
 
-    monkeypatch.setattr(LinMap, "_cols", property(counted_cols))
+    def counted_items(self):
+        out = list(items(self))
+        read.extend(out)
+        return iter(out)
+
     monkeypatch.setattr(LinMap, "column", counted_column)
+    monkeypatch.setattr(LinMap, "items", counted_items)
     assert verify_simplicial(nerve).ok
     assert dim2_pipeline(nerve).report.ok
-    assert 0 < len(built) <= 260, len(built)
+    assert 0 < len(read) <= 60, len(read)
 
 
 @pytest.mark.parametrize("back_to_scalar", [False, True],
                          ids=["stops-at-2^64", "returns-to-scalar"])
 def test_index_range_past_int64_runs_on_sparse_vectors(back_to_scalar):
     """Eight unit stages SCALAR -> V with dim V = 256 make the width 2^64,
-    past the int64 index arrays; optionally eight counit stages map back.
-    The array engine refuses and the sparse one gives the exact map."""
+    past int64; optionally eight counit stages map back.  The engine holds
+    such indices as Python ints and gives the exact map, as the sparse
+    reference does."""
     v = Space([f"v{i}" for i in range(256)])
     up = LinMap.from_entries(SCALAR, v, {(255, 0): -1})
     down = LinMap.from_entries(v, SCALAR, {(0, 255): -1})
@@ -147,8 +158,9 @@ def test_index_range_past_int64_runs_on_sparse_vectors(back_to_scalar):
     if back_to_scalar:
         stages += [[v] * k + [down] for k in range(7, -1, -1)]
         cod, want = SCALAR, {0: {0: 1}}
-    prepared = [linalg._stage_parts(st) for st in stages]
-    assert linalg._monomial_composite(SCALAR, cod, prepared) is None
     got = linalg.composite_map(SCALAR, cod, stages)
     assert got == LinMap(SCALAR, cod, want)
     assert list(got.items()) == [(r, 0, 1) for r in want[0]]
+    assert got.targets.dtype == (np.int64 if back_to_scalar else object)
+    assert got.coeffs.dtype == np.int8
+    assert sparse_reference.composite_map(SCALAR, cod, stages) == got
