@@ -146,8 +146,10 @@ def _cmd_check_yd(args) -> Report:
     return rep
 
 
+@closure_is_hypothesis(_BREAKS_HOPF)
 def _cmd_rker(args) -> Report:
     p = _load(args, "projection")
+    kernel_generators(p)    # Radford's identities: only a non-Hopf input fails
     rep = Report(f"rker {p.name}")
     sub = rker(p.proj, "right")
     rep.add("contains-unit", sub.contains_vector(p.big.unit.column(0)))

@@ -259,7 +259,8 @@ class GroupTable:
     Associativity uses Light's test: the elements a with (x.a).y ==
     x.(a.y) for all x, y form a submagma (F. W. Light; Clifford & Preston,
     *The Algebraic Theory of Semigroups* I, 1961), so it is checked only
-    for a generating set, one n x n gather pair per generator.
+    for a generating set, one n x n gather pair per generator.  The set,
+    which leaves out the identity, is kept as ``generators``.
     """
 
     def __init__(self, labels, table, name: str = "G"):
@@ -272,22 +273,31 @@ class GroupTable:
             raise InvalidGroup(f"{name}: table shape {t.shape}, expected ({n},{n})")
         if t.min() < 0 or t.max() >= n:
             raise InvalidGroup(f"{name}: table entries out of range")
-        if any(not np.array_equal(t[t[:, a], :], t[:, t[a, :]])
-               for a in _generators(t)):
-            raise InvalidGroup(f"{name}: multiplication is not associative")
+        # a two-sided identity e has e.0 == 0, so only those rows can be one
         idn = np.arange(n)
-        e_candidates = np.flatnonzero((t == idn).all(axis=1) &
-                                      (t == idn[:, None]).all(axis=0))
-        if not e_candidates.size:
+        cand = np.flatnonzero(t[:, 0] == 0)
+        e = cand[(t[cand] == idn).all(axis=1)
+                 & (t[:, cand] == idn[:, None]).all(axis=0)][:1]
+        # Light's test reads a copy in the smallest dtype that holds n (the
+        # same values in an eighth of the memory at order <= 256), and its
+        # transpose, so that both sides are gathers of whole rows:
+        # (x.a).y is row x.a of s, x.(a.y) row a.y of s transposed
+        s = t.astype(np.min_scalar_type(n))
+        st = np.ascontiguousarray(s.T)
+        gens = _generators(s, e)
+        if any((s[s[:, a]].T != st[s[a]]).any() for a in gens):
+            raise InvalidGroup(f"{name}: multiplication is not associative")
+        if not e.size:
             raise InvalidGroup(f"{name}: no identity element")
-        self.identity = int(e_candidates[0])
+        self.identity = int(e[0])
         inv = np.full(n, -1, dtype=np.int64)
-        rows, cols = np.nonzero(t == self.identity)
+        rows, cols = np.divmod(np.flatnonzero(t == self.identity), n)
         inv[rows] = cols
-        if (inv < 0).any() or not np.array_equal(t[idn, inv], np.full(n, self.identity)):
+        if (inv < 0).any():
             raise InvalidGroup(f"{name}: missing inverses")
         self.table = t
         self.inverse = inv
+        self.generators = gens
         self.order = n
         self.name = name
 
@@ -304,22 +314,29 @@ class GroupTable:
         return f"GroupTable({self.name}, order={self.order})"
 
 
-def _generators(t) -> list:
-    """A greedy generating set of the magma with table t: each element not
-    yet reached joins, and the reached set is closed under right
-    multiplication by the generators, so every element is a product."""
+def _generators(t, reached_from) -> list:
+    """A greedy generating set of the magma with table t, given that the
+    elements ``reached_from`` are already reached: each element not yet
+    reached joins, and the reached set is closed under right
+    multiplication by the generators, so every other element is a
+    product.  The identity may start reached, since it passes Light's
+    test on its own."""
     gens = []
     reached = np.zeros(len(t), dtype=bool)
+    reached[reached_from] = True
     while not reached.all():
         g = int(np.argmin(reached))
         gens.append(g)
         reached[g] = True
-        # products not formed yet: reached.g and g.gens, then new.gens
-        new = np.concatenate((t[reached, g], t[g, gens]))
+        right = t[:, gens]
+        # products not formed yet: reached.g and g.gens, then fresh.gens
+        new = np.concatenate((t[reached, g], right[g]))
         while new.size:
-            new = np.unique(new[~reached[new]])
-            reached[new] = True
-            new = t[np.ix_(new, gens)].ravel()
+            fresh = np.zeros_like(reached)
+            fresh[new] = True
+            fresh &= ~reached
+            reached |= fresh
+            new = right[fresh].ravel()
     return gens
 
 
@@ -347,12 +364,13 @@ _S3_PERMS = [
 
 def symmetric_group_3() -> GroupTable:
     """S3 with a fixed element order; composition acts right-to-left."""
-    perms = [p for _, p in _S3_PERMS]
+    perms = np.array([p for _, p in _S3_PERMS])
     labels = [l for l, _ in _S3_PERMS]
-    lookup = {p: i for i, p in enumerate(perms)}
-    table = [[lookup[tuple(p[q[k]] for k in range(3))] for q in perms]
-             for p in perms]
-    return GroupTable(labels, table, name="S3")
+    # a permutation's index, looked up by its base-3 digits
+    lookup = np.zeros(27, dtype=np.int64)
+    lookup[perms @ [9, 3, 1]] = np.arange(6)
+    # entry [p, q] is p . q: k -> p[q[k]]
+    return GroupTable(labels, lookup[perms[:, perms] @ [9, 3, 1]], name="S3")
 
 
 def s3_sign_indices() -> list:
@@ -375,18 +393,30 @@ def semidirect_product(m: GroupTable, n: GroupTable, action,
     act = np.asarray(action, dtype=np.int64)
     if act.shape != (n.order, m.order):
         raise InvalidGroup("semidirect: action table has wrong shape")
-    labels = [f"({m.labels[i]},{n.labels[j]})"
-              for i in range(m.order) for j in range(n.order)]
-    idx = np.arange(m.order * n.order)
-    ms, ns = idx // n.order, idx % n.order
-    table = (m.table[ms[:, None], act[ns[:, None], ms]] * n.order +
-             n.table[ns[:, None], ns])
-    return GroupTable(labels, table, name=name or f"{m.name}x|{n.name}")
+    labels = [f"({a},{b})" for a in m.labels for b in n.labels]
+    # entry [i, j, i', j'] is the index of (m_i, n_j)(m_i', n_j')
+    table = np.add((m.table[:, act] * n.order)[:, :, :, None],
+                   n.table[:, None, :], order="C")
+    return GroupTable(labels, table.reshape(len(labels), len(labels)),
+                      name=name or f"{m.name}x|{n.name}")
 
 
 def conjugation_action(g: GroupTable):
     """g |> x = g x g^{-1} as an action table of g on itself."""
     return g.table[g.table, g.inverse[:, None]]
+
+
+def homomorphism_rows(src: GroupTable, dst: GroupTable, maps):
+    """For a k x |src| array of dst indices, whether each row f has
+    f(a b) == f(a) f(b) for all a, b in src.
+
+    Only the columns b of the identity and the generators of src are
+    compared: the b that pass form a submonoid of src (f(e) is then the
+    identity, and dst is associative), and they generate all of src.
+    """
+    cols = [src.identity] + src.generators
+    return (dst.table[maps[:, :, None], maps[:, cols][:, None, :]]
+            == maps[:, src.table[:, cols]]).all(axis=(1, 2))
 
 
 def check_group_hom(src: GroupTable, dst: GroupTable, images) -> bool:
@@ -395,7 +425,7 @@ def check_group_hom(src: GroupTable, dst: GroupTable, images) -> bool:
         return False
     if f.min() < 0 or f.max() >= dst.order:
         return False
-    return np.array_equal(dst.table[f[:, None], f[None, :]], f[src.table])
+    return bool(homomorphism_rows(src, dst, f[None])[0])
 
 
 # -- Hopf algebras from the shelf -------------------------------------
@@ -407,9 +437,9 @@ def group_algebra(g: GroupTable) -> HopfAlgebra:
     n = g.order
     sq = tensor_space(space, space)
     mul = LinMap.from_monomial(sq, space, g.table.ravel())
-    unit = LinMap.from_entries(SCALAR, space, {(g.identity, 0): 1})
+    unit = LinMap.from_monomial(SCALAR, space, np.array([g.identity]))
     comul = LinMap.from_monomial(space, sq, np.arange(n) * (n + 1))
-    counit = LinMap.from_rows(space, SCALAR, [[1] * n])
+    counit = LinMap.from_monomial(space, SCALAR, np.zeros(n, dtype=np.int64))
     antipode = LinMap.from_monomial(space, space, g.inverse)
     return HopfAlgebra(space, mul, unit, comul, counit, antipode,
                        name=f"k[{g.name}]")

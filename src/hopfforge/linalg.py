@@ -18,7 +18,9 @@ Every ``LinMap`` is stored as two padded column arrays (see its
 docstring), and ``_pack`` is the one normaliser that puts entries into
 that form.  Large structural maps (e.g. id (x) R (x) id on a fourth tensor
 power) must never be materialised; ``composite_map`` evaluates a whole
-pipeline of tensor stages on index arrays instead, one gather per factor.
+pipeline of tensor stages on index arrays instead: it starts from the
+Kronecker product of the first stage's parts and makes one gather per
+factor of each later stage.
 
 A ``Subspace`` is its inclusion and a retraction onto its basis; membership,
 corestriction and subspace equality are composites of them and an equality.
@@ -258,14 +260,15 @@ class LinMap:
         """Column j is signs[j] (default 1, 0 for a zero column) times basis
         vector targets[j], for 1-D arrays, without the pass of __init__."""
         if signs is None:
-            signs = np.ones(dom.dim, dtype=np.int8)
-        live = signs != 0
-        t = np.where(live, targets, 0)
+            t, s = np.asarray(targets), np.ones(dom.dim, dtype=np.int8)
+        else:
+            s = signs.astype(np.int8)
+            t = np.where(s != 0, targets, 0)
         if t.size and t.max() >= cod.dim:
             raise DimensionMismatch("monomial map lands outside its codomain")
-        k = int(live.any())
+        k = int(s.any())
         return cls._of(dom, cod, t.astype(_index_type(cod.dim))[:, None][:, :k],
-                       signs.astype(np.int8)[:, None][:, :k])
+                       s[:, None][:, :k])
 
     @classmethod
     def identity(cls, space: Space) -> "LinMap":
@@ -393,6 +396,38 @@ def flip(v: Space, w: Space) -> LinMap:
 # -- evaluation of big composites --------------------------------------
 
 
+def _times(a, b):
+    """a * b, broadcast; on object coefficients only the entries where both
+    factors are nonzero are multiplied, and the padding stays 0."""
+    if a.dtype != object and b.dtype != object:
+        return a * b
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros(a.shape, dtype=object)
+    live = (a != 0) & (b != 0)
+    out[live] = a[live] * b[live]
+    return out
+
+
+def _kronecker(parts, width: int):
+    """The (targets, coeffs) arrays of the tensor product of a stage's
+    parts, a Space part being the identity: column (i, j) of a (x) b holds
+    the terms of column i of a times those of column j of b, a-major."""
+    t = c = None
+    for indim, outdim, m in parts:
+        if m is None:
+            x = np.arange(indim, dtype=np.int64)[:, None]
+            y = np.ones((indim, 1), dtype=np.int8)
+        else:
+            x, y = m.targets, m.coeffs
+        if t is None:
+            t, c = x.astype(_index_type(width), copy=False), y
+            continue
+        shape = (t.shape[0] * indim, t.shape[1] * x.shape[1])
+        t = (t[:, None, :, None] * outdim + x[None, :, None, :]).reshape(shape)
+        c = _times(c[:, None, :, None], y[None, :, None, :]).reshape(shape)
+    return t, c
+
+
 def composite_map(dom: Space, cod: Space, stages) -> LinMap:
     """Evaluate a pipeline of stages on each domain basis vector.
 
@@ -404,7 +439,9 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
     tractable on large group algebras.
 
     Domain column j is carried as K terms, rows j of an index array t and
-    a coefficient array c.  A stage splits each index into its factors'
+    a coefficient array c.  The first stage is the Kronecker product of
+    its parts' column arrays (a Space part is the identity), built on the
+    basis directly.  Each later stage splits each index into its factors'
     coordinates and gathers each map's column: one gather when the map
     has k = 1, else each term becomes k terms.  Terms that may share an
     index (K > 1) or hold rational coefficients are summed by ``_pack``,
@@ -412,38 +449,40 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
     Indices hold Python ints while a width passes int64.
     """
     n = width = dom.dim
-    t = np.arange(n, dtype=np.int64)[:, None]
-    c = np.ones((n, 1), dtype=np.int8)
-    for stage in stages:
+    t = c = None
+    for stage in stages or [[dom]]:
         parts = [(p.dom.dim, p.cod.dim, p) if isinstance(p, LinMap)
                  else (p.dim, p.dim, None)          # a Space: the identity
                  for p in ([stage] if isinstance(stage, LinMap) else stage)]
         if math.prod(p[0] for p in parts) != width:
             raise DimensionMismatch(f"a stage does not take width {width}")
         width = math.prod(p[1] for p in parts)
-        coords = []
-        for indim, _, _ in reversed(parts[1:]):
-            coords.append(t % indim)
-            t = t // indim
-        coords = [t] + coords[::-1]
-        t = None
-        for p, (_, outdim, m) in enumerate(parts):
-            x = coords[p]
-            if m is not None:
-                x = x.astype(np.int64, copy=False)
-                k = m.coeffs.shape[1]
-                if k == 1:
-                    c = c * m.coeffs[:, 0][x]
-                    x = m.targets[:, 0][x]
-                else:
-                    size = c.shape[1] * k
-                    c = (c[:, :, None] * m.coeffs[x]).reshape(n, size)
-                    x = m.targets[x].reshape(n, size)
-                    t = None if t is None else np.repeat(t, k, axis=1)
-                    coords[p + 1:] = [np.repeat(y, k, axis=1)
-                                      for y in coords[p + 1:]]
-            t = (x.astype(_index_type(width), copy=False) if t is None
-                 else t * outdim + x)
+        if t is None:
+            t, c = _kronecker(parts, width)
+        else:
+            coords = []
+            for indim, _, _ in reversed(parts[1:]):
+                coords.append(t % indim)
+                t = t // indim
+            coords = [t] + coords[::-1]
+            t = None
+            for p, (_, outdim, m) in enumerate(parts):
+                x = coords[p]
+                if m is not None:
+                    x = x.astype(np.int64, copy=False)
+                    k = m.coeffs.shape[1]
+                    if k == 1:
+                        c = _times(c, m.coeffs[:, 0][x])
+                        x = m.targets[:, 0][x]
+                    else:
+                        size = c.shape[1] * k
+                        c = _times(c[:, :, None], m.coeffs[x]).reshape(n, size)
+                        x = m.targets[x].reshape(n, size)
+                        t = None if t is None else np.repeat(t, k, axis=1)
+                        coords[p + 1:] = [np.repeat(y, k, axis=1)
+                                          for y in coords[p + 1:]]
+                t = (x.astype(_index_type(width), copy=False) if t is None
+                     else t * outdim + x)
         if c.shape[1] > 1 or c.dtype == object:
             t, c = _pack(n, np.repeat(np.arange(n), c.shape[1]),
                          t.ravel(), c.ravel())
@@ -553,6 +592,9 @@ def _row_reduction(m: LinMap) -> RowReducer:
 
 
 def rank(m: LinMap) -> int:
+    if m.coeffs.shape[1] <= 1:
+        # each column is zero or one entry: count the distinct targets
+        return np.unique(m.targets[m.coeffs != 0]).size
     return _row_reduction(m).rank
 
 

@@ -37,7 +37,8 @@ from .report import Report
 from .hopf import (GroupTable, HopfAlgebra, HopfMorphism, HopfProjection,
                    adjoint_action, adjoint_stages, check_group_hom,
                    check_morphism, conjugation_action, group_algebra,
-                   linearize_group_hom, semidirect_product)
+                   homomorphism_rows, linearize_group_hom,
+                   semidirect_product)
 from .yd import (BraidedHopfAlgebra, check_braided_map, check_yd,
                  pushforward_braided)
 from .radford import (RKerResult, checked_generators, generator_maps,
@@ -83,14 +84,12 @@ class GroupCrossedModule:
         if not np.array_equal(act[n.identity], idm):
             raise InvalidCrossedModule(
                 f"{name}: the identity of {n.name} acts nontrivially")
-        for j in range(n.order):
-            row = act[j]
-            if sorted(row.tolist()) != list(range(m.order)):
-                raise InvalidCrossedModule(
-                    f"{name}: {n.labels[j]!r} does not act bijectively")
-            if not check_group_hom(m, m, row):
-                raise InvalidCrossedModule(
-                    f"{name}: {n.labels[j]!r} does not act by an automorphism")
+        bijective = (np.sort(act, axis=1) == idm).all(axis=1)
+        automorphic = homomorphism_rows(m, m, act)
+        for j in np.flatnonzero(~(bijective & automorphic))[:1].tolist():
+            what = "bijectively" if not bijective[j] else "by an automorphism"
+            raise InvalidCrossedModule(
+                f"{name}: {n.labels[j]!r} does not act {what}")
         if not np.array_equal(act[n.table], act[:, act]):
             raise InvalidCrossedModule(f"{name}: action does not compose, "
                                        "(n1 n2) |> m != n1 |> (n2 |> m)")

@@ -317,7 +317,7 @@ def test_exit_codes_over_every_command_and_builtin(capsys):
     assert answered == recorded
 
 
-@pytest.mark.parametrize("cmd", ["kernel-generators", "braided-hopf",
+@pytest.mark.parametrize("cmd", ["rker", "kernel-generators", "braided-hopf",
                                  "bosonise", "radford-iso", "pushforward"])
 def test_projection_of_a_non_hopf_algebra_exits_one(capsys, cmd):
     """Both legs are Hopf morphisms, but the big multiplication is not

@@ -1,12 +1,16 @@
 """The exit-code contract on malformed documents.
 
 A derandomised Hypothesis search mutates the serialized ``sweedler``,
-``proj-sweedler``, ``c2`` and ``nerve-c2-id`` documents -- a scalar or a
-whole node swapped for a huge int, a "p/q" string, a float, a bool, null,
-a small int (which breaks a group table's associativity or identity) or
-a list of the wrong shape -- and runs a command on the result.  Whatever
-the input, the CLI must answer 0, 1 or 2, and an exit 2 must print
-nothing on stdout: nothing in the input may reach exit 3.
+``proj-sweedler``, ``c2``, ``c2-id`` (a crossed module) and
+``nerve-c2-id`` documents -- a scalar or a whole node swapped for a huge
+int, a "p/q" string, a float, a bool, null, a small int (which breaks a
+group table's associativity or identity), a list of the wrong shape or a
+``{"builtin": NAME}`` reference whose name is unknown, not a string,
+nested or of the wrong kind -- and runs a command on the result.
+Whatever the input, the CLI must answer 0, 1 or 2, and an exit 2 must
+print nothing on stdout: nothing in the input may reach exit 3.  The
+same documents go to ``io.parse_definition`` alone, which may only
+refuse them with an error the CLI answers with exit 1 or 2.
 """
 
 import json
@@ -16,10 +20,15 @@ from io import StringIO
 from hypothesis import given, settings, strategies as st
 
 from hopfforge import cli, fixtures
-from hopfforge.io import serialize
+from hopfforge.errors import (HypothesisFailed, InvalidCrossedModule,
+                              InvalidGroup, NonInvertibleAntipode,
+                              NonInvertibleBraiding, NotAProjection,
+                              UsageError)
+from hopfforge.io import parse_definition, serialize
 
 DOCS = {name: serialize(fixtures.builtin_raw(name))
         for name in ("sweedler", "proj-sweedler", "c2", "nerve-c2-id")}
+DOCS["c2-id"] = serialize(fixtures.crossed_module("c2-id"))
 
 #: the commands that take each document; any command may be drawn too
 PROJECTION = ["rker", "kernel-generators", "braided-hopf", "bosonise",
@@ -28,6 +37,7 @@ COMMANDS = {
     "sweedler": ["check-hopf", "check-yd"],
     "proj-sweedler": PROJECTION,
     "c2": ["check-hopf", "check-yd", "nerve", "linearize", "moore-oracle"],
+    "c2-id": ["nerve", "linearize", "moore-oracle"],
     "nerve-c2-id": ["simplicial-check", "pipeline", "peiffer", "extract-xmod",
                     "check-restriction", "linearize"] + PROJECTION,
 }
@@ -61,6 +71,12 @@ def _replace(doc, path, value):
     return out
 
 
+#: names for a {"builtin": NAME} reference: known ones of every kind (a
+#: large one among them), unknown, not a string, and nested references
+REFS = ["c2", "s3", "sweedler", "proj-sweedler", "nerve-c2-id",
+        "nerve-s3-id", "no-such-builtin", "", 7, None, True, ["c2"],
+        {"builtin": "c2"}]
+
 #: what a mutation does to the node it picks
 EDITS = [lambda x: x[:-1] if isinstance(x, list) else [x],
          lambda x: x + x[:1] if isinstance(x, list) else [x, x],
@@ -72,11 +88,17 @@ EDITS = [lambda x: x[:-1] if isinstance(x, list) else [x],
 def _mutated(draw):
     name = draw(st.sampled_from(sorted(DOCS)))
     doc = DOCS[name]
+    if draw(st.integers(0, 9)) == 0:
+        doc = {"builtin": draw(st.sampled_from(REFS))}
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
         path = draw(st.sampled_from(paths))
-        if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
             edit = draw(st.sampled_from(EDITS))
+        elif kind == 1:
+            ref = {"builtin": draw(st.sampled_from(REFS))}
+            edit = lambda _, v=ref: v       # noqa: E731
         else:
             value = draw(st.sampled_from(SCALARS))
             edit = lambda _, v=value: v     # noqa: E731
@@ -97,3 +119,19 @@ def test_mutated_documents_exit_0_1_or_2(case):
     assert code in (0, 1, 2), (code, err.getvalue())
     if code == 2:
         assert out.getvalue() == ""
+
+
+#: what the CLI answers with exit 1 or 2 (every UsageError is exit 2)
+REFUSALS = (UsageError, NotAProjection, NonInvertibleAntipode,
+            NonInvertibleBraiding, InvalidGroup, InvalidCrossedModule,
+            HypothesisFailed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mutated())
+def test_parse_definition_refuses_only_with_exit_1_or_2_errors(case):
+    doc, _ = case
+    try:
+        parse_definition(doc)
+    except REFUSALS:
+        pass

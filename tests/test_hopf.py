@@ -248,6 +248,57 @@ def test_every_group_refusal_names_its_reason(labels, table, says):
     assert str(e.value) == says
 
 
+def _homomorphisms() -> list:
+    """(src, dst, images) of homomorphisms: identities, trivial maps, the
+    sign of S3 and the faces and degeneracies of the S3 nerve."""
+    groups = [fixtures.builtin_raw(g) for g in ("trivial", "c2", "c3", "s3")]
+    nerve = fixtures.group_nerve("nerve-s3-id")
+    out = [(g, g, np.arange(g.order)) for g in groups]
+    out += [(g, h, np.full(g.order, h.identity)) for g in groups
+            for h in groups]
+    out.append((groups[3], groups[1], np.array(s3_sign_indices())))
+    for n, fs in enumerate(nerve.faces):
+        out += [(nerve.levels[n], nerve.levels[n - 1], d) for d in fs]
+    for n, ss in enumerate(nerve.degens):
+        out += [(nerve.levels[n], nerve.levels[n + 1], s) for s in ss]
+    return out
+
+
+_HOMS = _homomorphisms()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_HOMS), st.integers(0, 1 << 16),
+       st.sampled_from(["none", "image", "coset"]))
+def test_hom_check_on_generators_agrees_with_all_pairs(hom, pick, spoil):
+    """check_group_hom compares only the columns of the identity and the
+    generators; every pair a, b gives the same verdict, on homomorphisms,
+    on copies with one image changed, and on copies with one right coset
+    r<g> of the first generator g moved by a left factor, which still
+    pass the column of g."""
+    src, dst, f = hom
+    f = np.array(f)
+    if spoil == "image":
+        f[pick % src.order] = (pick >> 8) % dst.order
+    elif spoil == "coset" and src.generators:
+        coset, c = [], pick % src.order
+        while c not in coset:
+            coset.append(c)
+            c = src.mul(c, src.generators[0])
+        f[coset] = dst.table[(pick >> 8) % dst.order, f[coset]]
+    everywhere = np.array_equal(dst.table[f[:, None], f[None, :]],
+                                f[src.table])
+    assert check_group_hom(src, dst, f) == everywhere
+
+
+def test_hom_check_reads_the_identity_column():
+    """The trivial group has no generators: only its identity column can
+    see that e -> g is not a homomorphism."""
+    c2 = cyclic_group(2)
+    assert check_group_hom(trivial_group(), c2, [0])
+    assert not check_group_hom(trivial_group(), c2, [1])
+
+
 def test_semidirect_product_recovers_s3():
     c2, c3 = cyclic_group(2), cyclic_group(3)
     # C2 (second factor) acts on C3 by inversion

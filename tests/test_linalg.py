@@ -169,20 +169,24 @@ def _maps(draw, dom: Space, cod: Space, monomial: bool) -> LinMap:
 def _pipelines(draw):
     """(dom, cod, stages, monomial): plain maps onto fresh factorisations
     and tensor stages whose parts are maps or identity Spaces, SCALAR
-    among them; every map is monomial, or each is general by a coin.
-    The codomain is sometimes one short, so the composite may land
-    outside it."""
+    among them; every map is monomial, or each is general by a coin, and
+    one in six is the zero map (k = 0).  The first stage, which the
+    engine builds as a Kronecker product, is a tensor stage three times
+    in four.  The codomain is sometimes one short, so the composite may
+    land outside it."""
     monomial = draw(st.booleans())
 
     def a_map(dom, cod):
+        if draw(st.integers(0, 5)) == 0:
+            return LinMap.zero(dom, cod)
         return draw(_maps(dom, cod, monomial or draw(st.booleans())))
 
     factor_dims = st.lists(st.integers(1, 3), min_size=1, max_size=3)
     factors = [_space(d) for d in draw(factor_dims)]
     dom = tensor_space(*factors)
     stages = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
+    for s in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 3)) > 0 if s == 0 else draw(st.booleans()):
             parts, new = [], []
             for f in factors:
                 g = f if draw(st.booleans()) else _space(draw(st.integers(1, 3)))
@@ -281,6 +285,28 @@ def test_index_arrays_match_sparse_vectors(case, pick):
     if monomial:
         assert got.coeffs.dtype == np.int8 and got.coeffs.shape[1] <= 1
     _reads_like_its_columns(got, pick)
+
+
+@st.composite
+def _monomial_maps(draw) -> LinMap:
+    """Each column zero or one entry from _SCALARS, onto a codomain small
+    enough that targets repeat."""
+    dom = _space(draw(st.integers(1, 6)))
+    cod = _space(draw(st.integers(1, 4)))
+    cols = {j: {draw(st.integers(0, cod.dim - 1)): draw(st.sampled_from(_SCALARS))}
+            for j in range(dom.dim) if draw(st.booleans())}
+    return LinMap(dom, cod, cols)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_monomial_maps())
+def test_monomial_rank_counts_distinct_targets(m):
+    """rank reads a map with k <= 1 off its targets; RowReducer agrees."""
+    rows: dict = {}
+    for i, j, v in m.items():
+        rows.setdefault(i, {})[j] = v
+    assert m.coeffs.shape[1] <= 1
+    assert rank(m) == RowReducer(list(rows.values()), m.dom.dim).rank
 
 
 def test_storage_follows_the_entries():

@@ -142,17 +142,22 @@ def test_few_entries_are_read_back_from_arrays(monkeypatch):
     assert 0 < len(read) <= 60, len(read)
 
 
-@pytest.mark.parametrize("back_to_scalar", [False, True],
-                         ids=["stops-at-2^64", "returns-to-scalar"])
-def test_index_range_past_int64_runs_on_sparse_vectors(back_to_scalar):
-    """Eight unit stages SCALAR -> V with dim V = 256 make the width 2^64,
-    past int64; optionally eight counit stages map back.  The engine holds
-    such indices as Python ints and gives the exact map, as the sparse
-    reference does."""
+@pytest.mark.parametrize(
+    "back_to_scalar, at_once",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["stops-at-2^64", "returns-to-scalar",
+         "kronecker-start-stops-at-2^64", "kronecker-start-returns-to-scalar"])
+def test_index_range_past_int64_runs_on_sparse_vectors(back_to_scalar,
+                                                        at_once):
+    """Eight units SCALAR -> V with dim V = 256 make the width 2^64, past
+    int64, one a stage or all in the first stage, which the engine builds
+    as a Kronecker product; optionally eight counit stages map back.  The
+    engine holds such indices as Python ints and gives the exact map, as
+    the sparse reference does."""
     v = Space([f"v{i}" for i in range(256)])
     up = LinMap.from_entries(SCALAR, v, {(255, 0): -1})
     down = LinMap.from_entries(v, SCALAR, {(0, 255): -1})
-    stages = [[v] * k + [up] for k in range(8)]
+    stages = [[up] * 8] if at_once else [[v] * k + [up] for k in range(8)]
     cod = tensor_space(*[v] * 8)
     want = {0: {2 ** 64 - 1: 1}}           # e_255 in every factor
     if back_to_scalar:

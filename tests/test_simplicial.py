@@ -159,6 +159,34 @@ def test_nerve_matches_group_construction(nerve_c2_id):
     assert verify_simplicial(t).ok
 
 
+def test_nerve_s3_id_builds_from_index_arrays(monkeypatch):
+    """Set-up work bound: a fresh nerve-s3-id (levels 6, 36, 216) is built
+    without the dict constructor LinMap.__init__ and without RowReducer,
+    since every structure map is monomial and so is each antipode whose
+    rank is checked."""
+    calls = []
+    init, reduce = LinMap.__init__, RowReducer.__init__
+
+    def counted(real, name):
+        def wrapper(self, *args):
+            calls.append(name)
+            real(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(LinMap, "__init__", counted(init, "LinMap"))
+    monkeypatch.setattr(RowReducer, "__init__", counted(reduce, "RowReducer"))
+    cached = [f for f in vars(fixtures).values() if hasattr(f, "cache_clear")]
+    for f in cached:
+        f.cache_clear()
+    try:
+        t = fixtures.builtin_raw("nerve-s3-id")
+    finally:
+        for f in cached:
+            f.cache_clear()
+    assert [lv.dim for lv in t.levels] == [6, 36, 216]
+    assert calls == []
+
+
 # -- the kernel tower --------------------------------------------------------
 
 
