@@ -31,8 +31,8 @@ class DimensionMismatch(HopfForgeError):
 
 
 class DimensionCapExceeded(UsageError):
-    """Object dimension above HOPFFORGE_MAX_DIM (default 512), or a matrix
-    or label list too large to materialise."""
+    """Object dimension above HOPFFORGE_MAX_DIM (default 512), or a matrix,
+    label list or composite_map stage too large to materialise."""
 
 
 class InvalidGroup(HopfForgeError):

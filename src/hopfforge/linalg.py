@@ -12,7 +12,8 @@ Conventions:
   flattened strictly across iterated products;
 * two spaces are equal iff they have the same tuple of atomic factors with
   the same labels, so H (x) H built twice compares equal, while a space that
-  merely has the same dimension does not.
+  merely has the same dimension does not;
+* a space may have dimension 0, so the zero subspace has a carrier.
 
 Every ``LinMap`` is stored as two padded column arrays (see its
 docstring), and ``_pack`` is the one normaliser that puts entries into
@@ -20,7 +21,8 @@ that form.  Large structural maps (e.g. id (x) R (x) id on a fourth tensor
 power) must never be materialised; ``composite_map`` evaluates a whole
 pipeline of tensor stages on index arrays instead: it starts from the
 Kronecker product of the first stage's parts and makes one gather per
-factor of each later stage.
+factor of each later stage.  Between stages it reads only widths, never
+spaces, so unit objects are strict: a pipeline needs no unitor stage.
 
 A ``Subspace`` is its inclusion and a retraction onto its basis; membership,
 corestriction and subspace equality are composites of them and an equality.
@@ -43,6 +45,10 @@ _MAX_CELLS = 1_048_576
 
 # index arrays are int64 up to this width and hold Python ints past it
 _MAX_INDEX = np.iinfo(np.int64).max
+
+# the most terms a composite_map stage may carry: a builtin needs 46,656,
+# a dense 8-dimensional Hopf check 2**24; past 2**25 arrays take gigabytes
+_MAX_TERMS = 2 ** 25
 
 
 def rat(x):
@@ -95,8 +101,6 @@ class Space:
             lab = tuple(str(s) for s in labels)
             if len(set(lab)) != len(lab):
                 raise ValueError("basis labels must be distinct")
-            if not lab:
-                raise ValueError("zero-dimensional spaces are not supported")
             self._labels = lab
             self._factors = None
             self.dim = len(lab)
@@ -185,7 +189,7 @@ def _pack(n: int, js, ts, cs):
     cs = cs.astype(np.int8 if unit else object)
     counts = np.bincount(js, minlength=n)
     pos = np.arange(js.size) - (np.cumsum(counts) - counts)[js]
-    width = int(counts.max())
+    width = int(counts.max(initial=0))
     targets = np.zeros((n, width), dtype=ts.dtype)
     coeffs = np.zeros((n, width), dtype=cs.dtype)
     targets[js, pos], coeffs[js, pos] = ts, cs
@@ -408,6 +412,12 @@ def _times(a, b):
     return out
 
 
+def _check_terms(stage: int, terms: int):
+    if terms > _MAX_TERMS:
+        raise DimensionCapExceeded(
+            f"composite stage {stage} would carry {terms} > {_MAX_TERMS} terms")
+
+
 def _kronecker(parts, width: int):
     """The (targets, coeffs) arrays of the tensor product of a stage's
     parts, a Space part being the identity: column (i, j) of a (x) b holds
@@ -423,6 +433,7 @@ def _kronecker(parts, width: int):
             t, c = x.astype(_index_type(width), copy=False), y
             continue
         shape = (t.shape[0] * indim, t.shape[1] * x.shape[1])
+        _check_terms(0, shape[0] * shape[1])
         t = (t[:, None, :, None] * outdim + x[None, :, None, :]).reshape(shape)
         c = _times(c[:, None, :, None], y[None, :, None, :]).reshape(shape)
     return t, c
@@ -436,7 +447,9 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
     Stages apply left to right, so ``[f, g]`` is the composite g . f.
     Intermediate spaces are never constructed -- only index arithmetic --
     which keeps laws like (mul x mul).(id x R x id).(comul x comul)
-    tractable on large group algebras.
+    tractable on large group algebras.  A stage must take the width the
+    one before it gives, and nothing else about its domain is read, so
+    unit factors are strict: ``[[unit, V], rho]`` runs on V directly.
 
     Domain column j is carried as K terms, rows j of an index array t and
     a coefficient array c.  The first stage is the Kronecker product of
@@ -446,11 +459,12 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
     has k = 1, else each term becomes k terms.  Terms that may share an
     index (K > 1) or hold rational coefficients are summed by ``_pack``,
     so a pipeline of monomial maps stays at K <= 1 and never packs.
-    Indices hold Python ints while a width passes int64.
+    Indices hold Python ints while a width passes int64.  A stage past
+    _MAX_TERMS terms raises DimensionCapExceeded before it is allocated.
     """
     n = width = dom.dim
     t = c = None
-    for stage in stages or [[dom]]:
+    for s, stage in enumerate(stages or [[dom]]):
         parts = [(p.dom.dim, p.cod.dim, p) if isinstance(p, LinMap)
                  else (p.dim, p.dim, None)          # a Space: the identity
                  for p in ([stage] if isinstance(stage, LinMap) else stage)]
@@ -476,6 +490,7 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
                         x = m.targets[:, 0][x]
                     else:
                         size = c.shape[1] * k
+                        _check_terms(s, n * size)
                         c = _times(c[:, :, None], m.coeffs[x]).reshape(n, size)
                         x = m.targets[x].reshape(n, size)
                         t = None if t is None else np.repeat(t, k, axis=1)
@@ -626,16 +641,13 @@ class Subspace:
     each question about the subspace is a composite and an equality.  The
     carrier gets its own Space: a basis column that is a plain unit vector
     inherits the ambient label, any other is ``name`` and its index (sub0,
-    sub1, ... by default).  A zero-dimensional subspace (the kernel of an injective
-    map) has no carrier and no maps: all three are None.
+    sub1, ... by default).  The zero subspace (the kernel of an injective
+    map) has a 0-dimensional carrier and an inclusion with no columns.
     """
 
     def __init__(self, ambient: Space, columns, name: str = "sub"):
         self.ambient = ambient
         cols = [{i: v for i, v in c.items() if v} for c in columns]
-        self.space = self.inclusion = self.retraction = None
-        if not cols:
-            return
         carrier = Space([ambient.label(next(iter(c)))
                          if list(c.values()) == [1] else f"{name}{k}"
                          for k, c in enumerate(cols)])
@@ -656,14 +668,12 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return 0 if self.space is None else self.space.dim
+        return self.space.dim
 
     def _retract(self, m: LinMap):
-        """(retraction @ m or None at dim 0, first column of m outside or None)"""
+        """(retraction @ m, first column of m outside or None)"""
         if m.cod != self.ambient:
             raise DimensionMismatch("codomain is not the ambient space")
-        if self.space is None:
-            return None, next((j for _, j, _ in m.items()), None)
         x = self.retraction @ m
         diff = (self.inclusion @ x).first_difference(m)
         return x, None if diff is None else diff[1]
@@ -683,15 +693,15 @@ class Subspace:
             raise ClosureFailure(
                 f"{what}: image of basis vector {m.dom.label(bad)!r} "
                 f"is not in the subspace")
-        if x is None:
+        if not self.dim:
             raise ClosureFailure(f"{what}: the subspace is zero-dimensional")
         return x
 
     def equals(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise DimensionMismatch("subspaces of different spaces")
-        return self.dim == other.dim and (
-            other.dim == 0 or self.first_outside(other.inclusion) is None)
+        return (self.dim == other.dim
+                and self.first_outside(other.inclusion) is None)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient!r})"

@@ -63,13 +63,10 @@ class Report:
     def info(self, name: str, detail: str):
         self.checks.append(Check(name, "info", None, detail))
 
-    def equality(self, name: str, lhs: LinMap, rhs: LinMap,
-                 detail: str | None = None) -> bool:
+    def equality(self, name: str, lhs: LinMap, rhs: LinMap) -> bool:
         """Record lhs == rhs, with a first-difference witness on failure."""
         diff = lhs.first_difference(rhs)
-        if diff is None:
-            return self.add(name, True, detail=detail)
-        return self.add(name, False, _diff_witness(lhs, diff), detail)
+        return self.add(name, diff is None, diff and _diff_witness(lhs, diff))
 
     def verdict(self, name: str, holds: bool, witness: dict | None) -> bool:
         """Record whether a law holds as an info line ("holds"/"fails")

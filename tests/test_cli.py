@@ -5,6 +5,10 @@ Exit convention: 0 all checks pass, 1 a mathematical check fails,
 """
 
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +151,54 @@ def test_huge_yd_module_dim_exits_two(capsys):
            "action": [], "coaction": []}
     assert cli.main(["check-yd", "--input", json.dumps(doc)]) == 2
     assert "HOPFFORGE_MAX_DIM" in capsys.readouterr().err
+
+
+def _dense_hopf_doc(n: int, seed: int) -> dict:
+    """A dim-n hopf document whose mul and comul have every entry drawn
+    from {1, 2, -1, 3}, with identity antipode, unit e0 and counit all
+    ones: 12 KB of JSON at n = 12, but check-hopf's composites are dense."""
+    rng = random.Random(seed)
+
+    def dense(rows, cols):
+        return [[rng.choice((1, 2, -1, 3)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    return {"field": "Q", "dim": n, "basis": [f"b{i}" for i in range(n)],
+            "mul": dense(n, n * n), "unit": [1] + [0] * (n - 1),
+            "comul": dense(n * n, n), "counit": [1] * n,
+            "antipode": [[int(i == j) for j in range(n)] for i in range(n)]}
+
+
+#: the child's address-space limit, 3 GiB; below it the composites of
+#: both documents used to exhaust memory and exit 3 with MemoryError
+_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+from hopfforge import cli
+sys.exit(cli.main(["check-hopf", "--input", sys.argv[1], "--json"]))
+"""
+
+
+def test_dense_documents_exit_two_under_a_memory_limit(tmp_path):
+    """composite_map refuses a stage past its term cap before allocating
+    it.  Each document runs in its own child under the limit, both at
+    once; each must exit 2, print nothing on stdout, within 120 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    children = []
+    for n in (12, 16):
+        f = tmp_path / f"dense{n}.json"
+        f.write_text(json.dumps(_dense_hopf_doc(n, seed=n)))
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", _CHILD, str(f)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    try:
+        for child in children:
+            out, err = child.communicate(timeout=120)
+            assert (child.returncode, out) == (2, ""), err
+            assert "terms" in err
+    finally:
+        for child in children:
+            child.kill()
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -6,7 +6,8 @@ A derandomised Hypothesis search mutates the serialized ``sweedler``,
 int, a "p/q" string, a float, a bool, null, a small int (which breaks a
 group table's associativity or identity), a list of the wrong shape or a
 ``{"builtin": NAME}`` reference whose name is unknown, not a string,
-nested or of the wrong kind -- and runs a command on the result.
+nested or of the wrong kind -- or fills every zero entry of one structure
+map with one of 1, 2, -1, 3, and runs a command on the result.
 Whatever the input, the CLI must answer 0, 1 or 2, and an exit 2 must
 print nothing on stdout: nothing in the input may reach exit 3.  The
 same documents go to ``io.parse_definition`` alone, which may only
@@ -84,10 +85,34 @@ EDITS = [lambda x: x[:-1] if isinstance(x, list) else [x],
          lambda x: x[::-1] if isinstance(x, list) else {"k": x}]
 
 
+def _structure_maps(doc) -> list:
+    """The paths of the matrices in doc: non-empty lists of scalar rows."""
+    out = []
+    for path in _paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if isinstance(node, list) and node and all(
+                isinstance(r, list) and r and not isinstance(r[0], (list, dict))
+                for r in node):
+            out.append(path)
+    return out
+
+
+def _dense(value):
+    """Fill every zero entry of a matrix with value: a dense structure map
+    makes each composite over it carry many terms."""
+    return lambda rows: [[value if x == 0 else x for x in r] for r in rows]
+
+
 @st.composite
 def _mutated(draw):
     name = draw(st.sampled_from(sorted(DOCS)))
     doc = DOCS[name]
+    if draw(st.integers(0, 4)) == 0:
+        path = draw(st.sampled_from(_structure_maps(doc)))
+        doc = _replace(doc, path, _dense(draw(st.sampled_from([1, 2, -1, 3]))))
+        return doc, draw(st.sampled_from(COMMANDS[name]))
     if draw(st.integers(0, 9)) == 0:
         doc = {"builtin": draw(st.sampled_from(REFS))}
     for _ in range(draw(st.integers(1, 3))):

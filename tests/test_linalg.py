@@ -265,11 +265,30 @@ def _reads_like_its_columns(m: LinMap, pick: int):
         assert m.to_rows() == rows
 
 
+def _with_unit_stage(dom: Space, stages, draw: int) -> list:
+    """stages with a unit stage inserted at a position picked by ``draw``:
+    the left or right unitor of the space there, or an iso_map onto a
+    relabelled space of its width."""
+    p = draw % (len(stages) + 1)
+    v = dom
+    if p:
+        last = stages[p - 1]
+        v = tensor_space(*(q.cod if isinstance(q, LinMap) else q
+                           for q in ([last] if isinstance(last, LinMap)
+                                     else last)))
+    relabelled = Space([f"u{i}" for i in range(v.dim)])
+    kind = draw // (len(stages) + 1) % 3
+    unit = [left_unitor(v), right_unitor(v), iso_map(v, relabelled)][kind]
+    return stages[:p] + [unit] + stages[p:]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_pipelines(), st.integers(0, 1 << 16))
-def test_index_arrays_match_sparse_vectors(case, pick):
+@given(_pipelines(), st.integers(0, 1 << 16), st.integers(0, 1 << 16))
+def test_index_arrays_match_sparse_vectors(case, pick, unit):
     """The engine gives the reference's map: equal, with the same entries
-    in the same order, whole values as ints, and canonical arrays."""
+    in the same order, whole values as ints, and canonical arrays.  A
+    unit stage anywhere leaves the arrays identical, because the engine
+    reads only widths between stages."""
     dom, cod, stages, monomial = case
     try:
         want = sparse_reference.composite_map(dom, cod, stages)
@@ -282,6 +301,8 @@ def test_index_arrays_match_sparse_vectors(case, pick):
     assert _is_canonical(got)
     assert _same_arrays(got, want)
     assert _same_arrays(got, LinMap(dom, cod, _cols(got)))
+    assert _same_arrays(
+        got, composite_map(dom, cod, _with_unit_stage(dom, stages, unit)))
     if monomial:
         assert got.coeffs.dtype == np.int8 and got.coeffs.shape[1] <= 1
     _reads_like_its_columns(got, pick)
@@ -566,7 +587,7 @@ def test_zero_dimensional_subspace_keeps_its_answers():
     injective = LinMap.from_rows(v, Space(["p", "q", "r"]),
                                  [[1, 0], [0, 2], [1, 1]])
     zero, whole = kernel_basis(injective), full_subspace(v)
-    assert zero.dim == 0 and zero.space is None
+    assert zero.dim == 0 and zero.space.dim == 0
     assert zero.contains_vector({}) and not zero.contains_vector({1: 3})
     assert zero.equals(kernel_basis(injective))
     assert not zero.equals(whole) and not whole.equals(zero)
@@ -578,6 +599,37 @@ def test_zero_dimensional_subspace_keeps_its_answers():
         zero.corestrict(m)
     with pytest.raises(ClosureFailure, match="zero-dimensional"):
         zero.corestrict(LinMap.zero(v, v))
+    both = tensor_subspace(zero, whole)
+    assert both.dim == 0 and both.ambient == tensor_space(v, v)
+    assert both.equals(tensor_subspace(whole, zero))
+    assert not both.equals(tensor_subspace(whole, whole))
+    assert both.first_outside(m.tensor(m)) == 3
+    assert both.first_outside(LinMap.zero(v, both.ambient)) is None
+
+
+def test_maps_on_a_zero_dimensional_space():
+    """Maps into and out of a 0-dimensional space have no entries; the
+    constructor, difference, equality, tensor and composite_map run on
+    their empty arrays, a Kronecker start with a 0-dimensional part
+    included, and agree with the reference evaluator."""
+    o, v = Space(()), Space(["a", "b"])
+    into, out, ident = LinMap(o, v, {}), LinMap(v, o, {}), LinMap.identity(v)
+    assert into.coeffs.shape == (0, 0) and out.coeffs.shape == (2, 0)
+    with pytest.raises(DimensionMismatch):
+        LinMap(o, v, {0: {0: 1}})
+    for m in (into, out, into.tensor(ident), ident.tensor(out)):
+        assert m.is_zero() and m - m == m
+        assert m.first_difference(LinMap.zero(m.dom, m.cod)) is None
+    assert ident.tensor(out).dom.dim == 4 and into.tensor(ident).dom.dim == 0
+    assert into != LinMap.zero(o, Space(["c", "d"]))
+    for dom, cod, stages in ((v, v, [out, into]),
+                             (tensor_space(o, v), v, [[o, ident]]),
+                             (tensor_space(v, v), v, [[out, v], [into, v]]),
+                             (tensor_space(v, v), o,
+                              [[v, out], into.tensor(out)])):
+        got = composite_map(dom, cod, stages)
+        want = sparse_reference.composite_map(dom, cod, stages)
+        assert got == want and _same_arrays(got, want) and got.is_zero()
 
 
 def test_tensor_subspace_maps_are_tensor_products():
