@@ -151,7 +151,11 @@ def check_cocommutative(h: HopfAlgebra) -> bool:
 
 
 class HopfMorphism:
-    """A linear map between Hopf algebras, claimed to respect the structure."""
+    """A linear map between Hopf algebras, claimed to respect the structure.
+
+    ``laws()``, check_morphism's report, is computed once and kept on this
+    morphism with what it read: the map, its arrays, both algebras, their
+    spaces and structure maps.  Replacing any of them voids it."""
 
     def __init__(self, src: HopfAlgebra, dst: HopfAlgebra, lin: LinMap,
                  name: str = "f"):
@@ -163,13 +167,27 @@ class HopfMorphism:
         self.dst = dst
         self.lin = lin
         self.name = name
+        self._laws = None      # (what check_morphism read, its checks)
+
+    def laws(self) -> Report:
+        """check_morphism(self), evaluated again only when an input changed."""
+        f, s, d = self.lin, self.src, self.dst
+        read = (f, f.targets, f.coeffs,
+                s, s.space, s.mul, s.unit, s.comul, s.counit, s.antipode,
+                d, d.space, d.mul, d.unit, d.comul, d.counit, d.antipode)
+        if self._laws is None or any(
+                a is not b for a, b in zip(self._laws[0], read)):
+            self._laws = read, check_morphism(self).checks
+        return Report(f"check-morphism {self.name}", list(self._laws[1]))
 
     def __repr__(self):
         return f"HopfMorphism({self.name}: {self.src.name}->{self.dst.name})"
 
 
 def check_morphism(m: HopfMorphism) -> Report:
-    """The five compatibility squares of a Hopf algebra map."""
+    """The five compatibility squares of a Hopf algebra map, evaluated on
+    every call; ``m.laws()`` computes them once per morphism and reuses
+    them, and verify_simplicial and HopfProjection read them that way."""
     rep = Report(f"check-morphism {m.name}")
     s, d, f = m.src, m.dst, m.lin
     src_sq = tensor_space(s.space, s.space)
@@ -195,21 +213,34 @@ class HopfProjection:
     """A split pair proj: I -> H, incl: H -> I with proj . incl == id.
 
     Both legs must be actual Hopf morphisms; violations raise NotAProjection
-    so downstream theorems never run on junk.
+    so downstream theorems never run on junk.  A leg is a LinMap, or a
+    HopfMorphism between the same algebras whose laws, computed once per
+    morphism, are reused.  Either way the legs are kept as morphisms named
+    ``<name>.proj`` and ``<name>.incl``, the prefixes of their checks.
     """
 
-    def __init__(self, big: HopfAlgebra, small: HopfAlgebra, proj: LinMap,
-                 incl: LinMap, name: str = "p"):
+    def __init__(self, big: HopfAlgebra, small: HopfAlgebra, proj, incl,
+                 name: str = "p"):
         self.big = big
         self.small = small
-        self.proj = HopfMorphism(big, small, proj, name=f"{name}.proj")
-        self.incl = HopfMorphism(small, big, incl, name=f"{name}.incl")
         self.name = name
+        legs = []
+        for what, leg, src, dst in (("proj", proj, big, small),
+                                    ("incl", incl, small, big)):
+            given = isinstance(leg, HopfMorphism)
+            own = HopfMorphism(src, dst, leg.lin if given else leg,
+                               name=f"{name}.{what}")
+            if given and (leg.src is not src or leg.dst is not dst):
+                raise DimensionMismatch(
+                    f"{own.name}: {leg!r} does not run from {src.name} "
+                    f"to {dst.name}")
+            legs.append((own, leg if given else own))
+        (self.proj, _), (self.incl, _) = legs
         rep = Report(name)
-        rep.equality("proj-incl-is-identity", proj @ incl,
+        rep.equality("proj-incl-is-identity", self.proj.lin @ self.incl.lin,
                      LinMap.identity(small.space))
-        for leg in (self.proj, self.incl):
-            rep.extend(check_morphism(leg), prefix=f"{leg.name}/")
+        for own, laws_of in legs:
+            rep.extend(laws_of.laws(), prefix=f"{own.name}/")
         rep.require(NotAProjection)
 
     def __repr__(self):

@@ -268,9 +268,9 @@ class LinMap:
         else:
             s = signs.astype(np.int8)
             t = np.where(s != 0, targets, 0)
-        if t.size and t.max() >= cod.dim:
-            raise DimensionMismatch("monomial map lands outside its codomain")
         k = int(s.any())
+        if k and t.max() >= cod.dim:
+            raise DimensionMismatch("monomial map lands outside its codomain")
         return cls._of(dom, cod, t.astype(_index_type(cod.dim))[:, None][:, :k],
                        s[:, None][:, :k])
 
@@ -352,9 +352,14 @@ class LinMap:
 
         Returns (row, col, self_value, other_value).  This is the witness
         order used by every checker: the column index is the domain basis
-        vector on which the two sides of a law first disagree.  The arrays,
-        padded to one shape, name that column; only it is scanned.
+        vector on which the two sides of a law first disagree.  Equal maps
+        have equal arrays; other arrays, padded to one shape, name that
+        column, and only it is scanned.
         """
+        ta, tb = self.targets, other.targets
+        if (ta.shape == tb.shape and (ta == tb).all()
+                and (self.coeffs == other.coeffs).all()):
+            return None
         n = max(self.dom.dim, other.dom.dim)
         k = max(self.coeffs.shape[1], other.coeffs.shape[1])
         (ta, ca), (tb, cb) = (
@@ -439,6 +444,34 @@ def _kronecker(parts, width: int):
     return t, c
 
 
+def _gather(s: int, parts, coords, c, width: int):
+    """Stage s on the terms whose coordinate in part p is coords[p]: each
+    map part gathers its columns there, one term staying one term when it
+    has k = 1 and becoming k terms otherwise, and the outputs are joined
+    into the new index, below ``width``."""
+    n = c.shape[0]
+    for p, (_, outdim, m) in enumerate(parts):
+        x = coords[p]
+        if m is not None:
+            x = x.astype(np.int64, copy=False)
+            k = m.coeffs.shape[1]
+            if k == 1:
+                c = _times(c, m.coeffs[:, 0][x])
+                x = m.targets[:, 0][x]
+            else:
+                size = c.shape[1] * k
+                _check_terms(s, n * size)
+                c = _times(c[:, :, None], m.coeffs[x]).reshape(n, size)
+                x = m.targets[x].reshape(n, size)
+                if p:
+                    t = np.repeat(t, k, axis=1)
+                coords[p + 1:] = [np.repeat(y, k, axis=1)
+                                  for y in coords[p + 1:]]
+        t = (x.astype(_index_type(width), copy=False) if p == 0
+             else t * outdim + x)
+    return t, c
+
+
 def composite_map(dom: Space, cod: Space, stages) -> LinMap:
     """Evaluate a pipeline of stages on each domain basis vector.
 
@@ -453,58 +486,51 @@ def composite_map(dom: Space, cod: Space, stages) -> LinMap:
 
     Domain column j is carried as K terms, rows j of an index array t and
     a coefficient array c.  The first stage is the Kronecker product of
-    its parts' column arrays (a Space part is the identity), built on the
-    basis directly.  Each later stage splits each index into its factors'
-    coordinates and gathers each map's column: one gather when the map
-    has k = 1, else each term becomes k terms.  Terms that may share an
-    index (K > 1) or hold rational coefficients are summed by ``_pack``,
-    so a pipeline of monomial maps stays at K <= 1 and never packs.
-    Indices hold Python ints while a width passes int64.  A stage past
-    _MAX_TERMS terms raises DimensionCapExceeded before it is allocated.
+    its parts' column arrays (a Space part is the identity, a LinMap stage
+    its own arrays), built on the basis directly.  A later LinMap stage
+    gathers its columns at t; a later list of parts splits each index
+    into its factors' coordinates and gathers each map's column.  A
+    gather is one lookup when the map has k = 1, else each term becomes k
+    terms.  Terms that may share an index (K > 1) or hold rational
+    coefficients are summed by ``_pack``, so a pipeline of monomial maps
+    stays at K <= 1 and never packs.  Indices hold Python ints while a
+    width passes int64.  A stage past _MAX_TERMS terms raises
+    DimensionCapExceeded before it is allocated.
     """
     n = width = dom.dim
     t = c = None
     for s, stage in enumerate(stages or [[dom]]):
-        parts = [(p.dom.dim, p.cod.dim, p) if isinstance(p, LinMap)
-                 else (p.dim, p.dim, None)          # a Space: the identity
-                 for p in ([stage] if isinstance(stage, LinMap) else stage)]
-        if math.prod(p[0] for p in parts) != width:
-            raise DimensionMismatch(f"a stage does not take width {width}")
-        width = math.prod(p[1] for p in parts)
-        if t is None:
-            t, c = _kronecker(parts, width)
+        if isinstance(stage, LinMap):
+            if stage.dom.dim != width:
+                raise DimensionMismatch(f"a stage does not take width {width}")
+            width = stage.cod.dim
+            if t is None:
+                t, c = stage.targets, stage.coeffs
+                continue                    # canonical already
+            t, c = _gather(s, [(None, width, stage)], [t], c, width)
         else:
-            coords = []
-            for indim, _, _ in reversed(parts[1:]):
-                coords.append(t % indim)
-                t = t // indim
-            coords = [t] + coords[::-1]
-            t = None
-            for p, (_, outdim, m) in enumerate(parts):
-                x = coords[p]
-                if m is not None:
-                    x = x.astype(np.int64, copy=False)
-                    k = m.coeffs.shape[1]
-                    if k == 1:
-                        c = _times(c, m.coeffs[:, 0][x])
-                        x = m.targets[:, 0][x]
-                    else:
-                        size = c.shape[1] * k
-                        _check_terms(s, n * size)
-                        c = _times(c[:, :, None], m.coeffs[x]).reshape(n, size)
-                        x = m.targets[x].reshape(n, size)
-                        t = None if t is None else np.repeat(t, k, axis=1)
-                        coords[p + 1:] = [np.repeat(y, k, axis=1)
-                                          for y in coords[p + 1:]]
-                t = (x.astype(_index_type(width), copy=False) if t is None
-                     else t * outdim + x)
+            parts = [(p.dom.dim, p.cod.dim, p) if isinstance(p, LinMap)
+                     else (p.dim, p.dim, None)      # a Space: the identity
+                     for p in stage]
+            if math.prod(p[0] for p in parts) != width:
+                raise DimensionMismatch(f"a stage does not take width {width}")
+            width = math.prod(p[1] for p in parts)
+            if t is None:
+                t, c = _kronecker(parts, width)
+            else:
+                coords = []
+                for indim, _, _ in reversed(parts[1:]):
+                    coords.append(t % indim)
+                    t = t // indim
+                t, c = _gather(s, parts, [t] + coords[::-1], c, width)
         if c.shape[1] > 1 or c.dtype == object:
             t, c = _pack(n, np.repeat(np.arange(n), c.shape[1]),
                          t.ravel(), c.ravel())
-    if c.dtype != object and c.shape[1] == 1:
+    if c.shape[1] == 1 and c.dtype != object and not (n and c.all()):
         t = np.where(c != 0, t, 0)[:, :int(c.any())]
         c = c[:, :t.shape[1]]
-    if t.size and t.max() >= cod.dim:
+    # every target is below the width, so only a wider pipeline can escape
+    if width > cod.dim and t.size and t.max() >= cod.dim:
         raise DimensionMismatch("composite lands outside codomain")
     return LinMap._of(dom, cod, t.astype(_index_type(cod.dim), copy=False), c)
 
@@ -710,6 +736,24 @@ class Subspace:
 def kernel_basis(m: LinMap) -> Subspace:
     """ker(m) as a Subspace of dom(m), deterministic reduced basis."""
     return Subspace(m.dom, _row_reduction(m).kernel_columns())
+
+
+def unit_kernel(m: LinMap):
+    """ker(m) as kernel_basis gives it when no row of m holds two entries,
+    else None.  Each column with an entry is then a pivot of its own, so
+    the basis is the unit vectors of m's zero columns, and the inclusion
+    and retraction are built as monomial maps without a reduction."""
+    rows = m.targets[m.coeffs != 0]
+    if np.unique(rows).size != rows.size:
+        return None
+    zero = np.flatnonzero(~m.coeffs.any(axis=1))
+    carrier = Space([m.dom.label(j) for j in zero.tolist()])
+    back = np.zeros(m.dom.dim, dtype=np.int64)
+    back[zero] = np.arange(zero.size)
+    signs = np.zeros(m.dom.dim, dtype=np.int8)
+    signs[zero] = 1
+    return Subspace._of_maps(LinMap.from_monomial(carrier, m.dom, zero),
+                             LinMap.from_monomial(m.dom, carrier, back, signs))
 
 
 def full_subspace(space: Space) -> Subspace:

@@ -26,7 +26,8 @@ from .errors import ClosureFailure, IsoFailure
 from .hopf import (HopfAlgebra, HopfMorphism, HopfProjection, adjoint_stages,
                    check_morphism)
 from .linalg import (SCALAR, LinMap, Subspace, composite_map, flip,
-                     full_subspace, kernel_basis, tensor_space, tensor_subspace)
+                     full_subspace, kernel_basis, tensor_space, tensor_subspace,
+                     unit_kernel)
 from .report import Report
 from .yd import BraidedHopfAlgebra, YDModule, smash_product
 
@@ -40,7 +41,20 @@ def right_kernel(a: HopfAlgebra, proj: LinMap, unit: LinMap) -> Subspace:
     A, C = a.space, proj.cod
     lhs = composite_map(A, tensor_space(A, C), [a.comul, [A, proj]])
     rhs = composite_map(A, tensor_space(A, C), [[A, unit]])
-    return kernel_basis(lhs - rhs)
+    return _kernel(a, lhs - rhs)
+
+
+def _kernel(a: HopfAlgebra, m: LinMap) -> Subspace:
+    """ker(m) for a kernel condition m on ``a``, a difference of two
+    composites through a.comul.  When a.comul is monomial (a group
+    algebra's basis is group-like) both sides send each basis vector to
+    one basis vector, and unless two columns meet in a row, unit_kernel
+    reads the kernel off the arrays; otherwise m is row reduced."""
+    if a.comul.coeffs.shape[1] <= 1:
+        sub = unit_kernel(m)
+        if sub is not None:
+            return sub
+    return kernel_basis(m)
 
 
 def rker(omega: HopfMorphism, side: str = "right") -> Subspace:
@@ -66,7 +80,7 @@ def rker(omega: HopfMorphism, side: str = "right") -> Subspace:
         rhs = composite_map(I, cod, [i.comul, [I, h.unit, I]])
     else:
         raise ValueError("side must be right, left or categorical")
-    return kernel_basis(lhs - rhs)
+    return _kernel(i, lhs - rhs)
 
 
 def kernel_sides_agree(omega: HopfMorphism) -> bool:

@@ -35,9 +35,8 @@ from .linalg import LinMap, Subspace, composite_map, flip, tensor_space
 from .report import Report
 from .hopf import (GroupTable, HopfAlgebra, HopfMorphism, HopfProjection,
                    adjoint_action, adjoint_stages, check_group_hom,
-                   check_morphism, conjugation_action, group_algebra,
-                   homomorphism_rows, linearize_group_hom,
-                   semidirect_product)
+                   conjugation_action, group_algebra, homomorphism_rows,
+                   linearize_group_hom, semidirect_product)
 from .yd import (BraidedHopfAlgebra, check_braided_map, check_yd,
                  pushforward_braided)
 from .radford import (RKerResult, checked_generators, generator_maps,
@@ -284,7 +283,8 @@ def constant_simplicial_hopf(h: HopfAlgebra) -> TruncatedSimplicialHopf:
 def verify_simplicial(t: TruncatedSimplicialHopf) -> Report:
     """Every simplicial identity instance inside the truncation, the five
     Hopf-morphism squares of every face and degeneracy, and the 2n split
-    projections (d_j, s_j), (d_{j+1}, s_j) at each level."""
+    projections (d_j, s_j), (d_{j+1}, s_j) at each level.  The squares are
+    each morphism's ``laws()``, which level_projection's split pairs reuse."""
     rep = Report(f"verify-simplicial {t.name}")
     N = t.depth
     for n in range(2, N + 1):
@@ -316,7 +316,7 @@ def verify_simplicial(t: TruncatedSimplicialHopf) -> Report:
                                  t.degens[n - 1][j].lin @ t.faces[n][i - 1].lin)
     for n in range(1, N + 1):
         for mor in t.faces[n] + t.degens[n - 1]:
-            rep.extend(check_morphism(mor), prefix=f"{mor.name}/")
+            rep.extend(mor.laws(), prefix=f"{mor.name}/")
     for n in range(1, N + 1):
         for j in range(n):
             for i in (j, j + 1):
@@ -333,14 +333,16 @@ def level_projection(t: TruncatedSimplicialHopf, n: int, j: int,
     """The split pair (d_j, s_k) at level n, as a projection H_n -> H_{n-1}.
 
     The simplicial identities make d_j s_k the identity only for k = j or
-    k = j - 1; anything else is rejected by the projection validator.
+    k = j - 1; anything else is rejected by the projection validator.  The
+    legs are the tower's own face and degeneracy, whose laws are computed
+    once per tower and reused.
     """
     if not 1 <= n <= t.depth:
         raise UsageError(f"no level {n} in a depth-{t.depth} truncation")
     if not (0 <= j <= n and 0 <= k <= n - 1):
         raise UsageError(f"face d{j}/degeneracy s{k} out of range at level {n}")
-    return HopfProjection(t.levels[n], t.levels[n - 1], t.faces[n][j].lin,
-                          t.degens[n - 1][k].lin, name=f"(d{j},s{k})@{n}")
+    return HopfProjection(t.levels[n], t.levels[n - 1], t.faces[n][j],
+                          t.degens[n - 1][k], name=f"(d{j},s{k})@{n}")
 
 
 def level_rker(t: TruncatedSimplicialHopf, n: int, j: int, k: int) -> RKerResult:

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SINGULAR_ANTIPODE, convolution_antipode
-from hopfforge import fixtures, simplicial
-from hopfforge.errors import (DimensionCapExceeded, InvalidGroup,
-                              NonInvertibleAntipode, NotAProjection)
+from hopfforge import fixtures, hopf, simplicial
+from hopfforge.errors import (DimensionCapExceeded, DimensionMismatch,
+                              InvalidGroup, NonInvertibleAntipode,
+                              NotAProjection)
 from hopfforge.hopf import (GroupTable, HopfAlgebra, HopfMorphism,
                             HopfProjection,
                             check_cocommutative, check_group_hom, check_hopf,
@@ -371,6 +372,74 @@ def test_corrupted_hom_fails_morphism_check(ks3, kc2):
     rep = check_morphism(HopfMorphism(ks3, kc2, lin, name="notahom"))
     assert not rep.ok
     assert any(c.name == "respects-mul" for c in rep.failed())
+
+
+def _counted_evaluations(monkeypatch) -> list:
+    """The names of the morphisms check_morphism evaluates from now on."""
+    real, names = hopf.check_morphism, []
+
+    def counted(m):
+        names.append(m.name)
+        return real(m)
+
+    monkeypatch.setattr(hopf, "check_morphism", counted)
+    return names
+
+
+def test_morphism_laws_are_computed_once_and_kept_per_morphism(monkeypatch):
+    evaluated = _counted_evaluations(monkeypatch)
+    src, dst = group_algebra(cyclic_group(3)), group_algebra(cyclic_group(3))
+    ident = LinMap.identity(src.space)
+    m = HopfMorphism(src, dst, ident, name="id")
+    first = m.laws()
+    assert first.ok and first.title == "check-morphism id"
+    first.add("spoilt-by-the-caller", False)     # a copy: the kept one holds
+    assert m.laws().ok
+    m.name = "renamed"                           # the title follows the name
+    assert m.laws().title == "check-morphism renamed"
+    assert evaluated == ["id"]
+    # the same name, algebras and shape with another map has its own laws
+    junk = LinMap.from_monomial(src.space, dst.space, np.array([0, 1, 1]))
+    other = HopfMorphism(src, dst, junk, name="renamed")
+    assert not other.laws().ok
+    assert m.laws().ok
+    assert evaluated == ["id", "renamed"]
+
+
+def test_morphism_laws_do_not_outlive_their_inputs(monkeypatch):
+    evaluated = _counted_evaluations(monkeypatch)
+    c3 = cyclic_group(3)
+    src, dst = group_algebra(c3), group_algebra(c3)
+    ident = LinMap.identity(src.space)
+    junk = LinMap.from_monomial(src.space, dst.space, np.array([0, 1, 1]))
+    m = HopfMorphism(src, dst, ident, name="id")
+    assert m.laws().ok
+    m.lin = junk                                 # a new map
+    assert not m.laws().ok
+    m.lin = ident
+    assert m.laws().ok
+    dst.mul = dst.antipode @ dst.mul             # a new structure map
+    assert not m.laws().ok
+    m.dst = group_algebra(c3)                    # a new algebra
+    assert m.laws().ok
+    assert len(evaluated) == 5
+
+
+def test_projection_reuses_the_laws_of_morphism_legs(monkeypatch):
+    evaluated = _counted_evaluations(monkeypatch)
+    t = simplicial.linearize(fixtures.group_nerve("nerve-c2-id"))
+    d0, s0 = t.faces[1][0], t.degens[0][0]
+    assert d0.laws().ok and s0.laws().ok
+    p = HopfProjection(t.levels[1], t.levels[0], d0, s0, name="cut")
+    assert evaluated == ["d0@1", "s0@0"]
+    # the legs are kept under the projection's names, on the same maps
+    assert (p.proj.name, p.incl.name) == ("cut.proj", "cut.incl")
+    assert p.proj.lin is d0.lin and p.incl.lin is s0.lin
+    # a leg between other algebras on the same spaces is refused
+    twin = simplicial.linearize(fixtures.group_nerve("nerve-c2-id"))
+    with pytest.raises(DimensionMismatch, match=r"cut\.proj: .* does not run"):
+        HopfProjection(t.levels[1], t.levels[0], twin.faces[1][0], s0,
+                       name="cut")
 
 
 # -- projections ----------------------------------------------------------

@@ -17,7 +17,8 @@ from hopfforge.linalg import (SCALAR, LinMap, RowReducer, Space, Subspace,
                               composite_map, flip,
                               full_subspace, iso_map, kernel_basis,
                               left_unitor, rank, rat, right_unitor, solve,
-                              tensor_space, tensor_subspace, try_inverse)
+                              tensor_space, tensor_subspace, try_inverse,
+                              unit_kernel)
 from hopfforge.simplicial import check_restriction
 
 import sparse_reference
@@ -580,6 +581,51 @@ def test_subspace_retraction_membership_and_escape_match_sympy(case):
         label = m.dom.label(inside.index(False))
         with pytest.raises(ClosureFailure, match=f"'{label}'"):
             sub.corestrict(m)
+
+
+@st.composite
+def _rows_apart(draw):
+    """(a map whose rows hold at most one entry each, that map with one
+    row given a second entry, or None when no row can take one)."""
+    n, r = draw(st.integers(0, 6)), draw(st.integers(0, 12))
+    v = Space([f"v{j}" for j in range(n)])
+    w = Space([f"w{i}" for i in range(r)])
+    values = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+    entries = {(i, draw(st.integers(0, n - 1))): draw(values)
+               for i in range(r) if n and draw(st.booleans())}
+    shared = None
+    if entries and n > 1:
+        i, j = draw(st.sampled_from(sorted(entries)))
+        other = (j + draw(st.integers(1, n - 1))) % n
+        shared = LinMap.from_entries(v, w, {**entries, (i, other): 1})
+    return LinMap.from_entries(v, w, entries), shared
+
+
+def _same_arrays(a: LinMap, b: LinMap) -> bool:
+    return (a.dom == b.dom and a.cod == b.cod
+            and all(x.dtype == y.dtype and np.array_equal(x, y)
+                    for x, y in ((a.targets, b.targets), (a.coeffs, b.coeffs))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rows_apart())
+def test_unit_kernel_is_the_row_reduction_kernel(case):
+    m, shared = case
+    got, want = unit_kernel(m), kernel_basis(m)
+    assert got.space.labels == want.space.labels
+    assert _same_arrays(got.inclusion, want.inclusion)
+    assert _same_arrays(got.retraction, want.retraction)
+    if shared is not None:
+        assert unit_kernel(shared) is None
+
+
+def test_zero_map_into_the_zero_space_is_monomial():
+    v = Space(["a", "b"])
+    zero = LinMap.from_monomial(v, Space([]), np.zeros(2, dtype=np.int64),
+                                np.zeros(2, dtype=np.int8))
+    assert _same_arrays(zero, LinMap.zero(v, Space([])))
+    with pytest.raises(DimensionMismatch, match="outside its codomain"):
+        LinMap.from_monomial(v, Space([]), np.zeros(2, dtype=np.int64))
 
 
 def test_zero_dimensional_subspace_keeps_its_answers():

@@ -3,11 +3,12 @@
 Every pipeline runs on index arrays; ``sparse_reference`` evaluates the
 same pipelines column by column on sparse vectors.  Putting the
 reference in place of ``composite_map`` must leave every report, and
-every witness of a failing one, byte-identical.  Two tests bound the
+every witness of a failing one, byte-identical.  Three tests bound the
 work on a linearized nerve: no pipeline of monomial maps (each column
-zero or one +-1) reaches the ``_pack`` normaliser, and few entries are
-read back from the arrays as Python dicts.  The last sends a pipeline
-whose index range passes int64 through both engines.
+zero or one +-1) reaches the ``_pack`` normaliser, few entries are read
+back from the arrays as Python dicts, and the laws of each face and
+degeneracy are evaluated once.  The last sends a pipeline whose index
+range passes int64 through both engines.
 """
 
 import numpy as np
@@ -140,6 +141,34 @@ def test_few_entries_are_read_back_from_arrays(monkeypatch):
     assert verify_simplicial(nerve).ok
     assert dim2_pipeline(nerve).report.ok
     assert 0 < len(read) <= 60, len(read)
+
+
+def test_each_face_and_degeneracy_is_checked_once(monkeypatch):
+    """On a fresh nerve-c2-id, verify_simplicial evaluates the five squares
+    of each of the 15 faces and degeneracies once, and the three split
+    pairs that dim2_pipeline cuts from them reuse those laws: 15
+    evaluations and 312 composites, where checking each leg of each pair
+    again made 21 and 360."""
+    nerve = simplicial.linearize(fixtures.group_nerve("nerve-c2-id"))
+    evaluated, composites = [], []
+    check, compose = hopf.check_morphism, linalg.composite_map
+
+    def counted_check(m):
+        evaluated.append(m.name)
+        return check(m)
+
+    def counted_compose(*args):
+        composites.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(hopf, "check_morphism", counted_check)
+    for mod in CLIENTS:
+        monkeypatch.setattr(mod, "composite_map", counted_compose)
+    assert verify_simplicial(nerve).ok
+    assert dim2_pipeline(nerve).report.ok
+    maps = [m.name for ms in nerve.faces + nerve.degens for m in ms]
+    assert sorted(evaluated) == sorted(maps)
+    assert len(composites) <= 312, len(composites)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import convolution_antipode
-from hopfforge import fixtures
+from hopfforge import fixtures, linalg, radford
 from hopfforge.errors import ClosureFailure
 from hopfforge.hopf import check_hopf, zero_morphism
 from hopfforge.linalg import LinMap, composite_map, full_subspace
@@ -32,6 +32,27 @@ def test_sweedler_kernel_basis(proj_sweedler):
         [Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(1)],
         [Fraction(0), Fraction(0)]]
+
+
+@pytest.mark.parametrize("side", ["right", "left", "categorical"])
+def test_only_monomial_comultiplications_skip_the_reduction(
+        proj_sweedler, proj_sign_s3, side, monkeypatch):
+    # k[S3]'s kernels are read off the arrays, as the reduction would
+    # give them; the Sweedler algebra's comul is not monomial, so its
+    # kernels are still row reduced
+    reduced = []
+    real = linalg._row_reduction
+    monkeypatch.setattr(linalg, "_row_reduction",
+                        lambda m: reduced.append(m) or real(m))
+    fast = rker(proj_sign_s3.proj, side)
+    assert not reduced
+    rker(proj_sweedler.proj, side)
+    assert len(reduced) == 1
+    monkeypatch.setattr(radford, "unit_kernel", lambda m: None)
+    slow = rker(proj_sign_s3.proj, side)
+    assert fast.space == slow.space
+    assert fast.inclusion == slow.inclusion
+    assert fast.retraction == slow.retraction
 
 
 def test_sign_kernel_is_alternating_group(proj_sign_s3):

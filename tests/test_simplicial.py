@@ -5,13 +5,14 @@ Nerve sizes are frozen from |N_k| = |M|^k * |N|: the identity crossed
 module on C2 gives level orders 2, 4, 8, 16; the trivial one stays at 2.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from hopfforge import fixtures
+from hopfforge import __version__, fixtures, io
 from hopfforge.errors import (DimensionMismatch, InvalidCrossedModule,
-                              InvalidGroup)
+                              InvalidGroup, NotAProjection)
 from hopfforge.hopf import (GroupTable, HopfMorphism, cyclic_group,
                             group_algebra, symmetric_group_3, trivial_group)
 from hopfforge.linalg import LinMap, RowReducer
@@ -20,7 +21,8 @@ from hopfforge.simplicial import (GroupCrossedModule, TruncatedSimplicialGroup,
                                   check_twisted, constant_simplicial_hopf,
                                   dim2_pipeline, extract_xmod,
                                   identity_crossed_module,
-                                  level3_restriction_probe, level_rker,
+                                  level3_restriction_probe, level_projection,
+                                  level_rker,
                                   linearize, moore_group_oracle,
                                   nerve_of_crossed_module, peiffer_pairing,
                                   verify_simplicial)
@@ -363,6 +365,77 @@ def test_tower_reduces_few_rows(nerve_c2_id, monkeypatch):
     peiffer_pairing(nerve_c2_id, pipe)
     extract_xmod(nerve_c2_id, pipe)
     assert sum(rows) <= 120, rows
+
+
+# -- laws computed once per tower ----------------------------------------------
+
+
+STAGES = ("verify", "fg", "moore", "tower")
+
+
+def _stage_json(name: str, stage: str, t) -> list:
+    """The canonical --json of each report a tower-s3 stage makes on t."""
+    if stage == "verify":
+        reps = [verify_simplicial(t)]
+    elif stage == "fg":
+        reps = [check_fg_commutation(t)]
+    elif stage == "moore":
+        reps = [moore_group_oracle(
+            fixtures.group_nerve(name),
+            fixtures.crossed_module(name.removeprefix("nerve-")))]
+    else:
+        pipe = dim2_pipeline(t)
+        reps = [pipe.report, peiffer_pairing(t, pipe).report,
+                extract_xmod(t, pipe)[1]]
+    return [io.dump_json(r.to_dict(version=__version__)) for r in reps]
+
+
+@pytest.mark.parametrize("name", ["nerve-c2-id", "nerve-c2-trivial"])
+def test_stage_order_leaves_every_report_unchanged(name):
+    # laws one stage computed are reused by the next on the same tower;
+    # in every order, each report is the one a fresh tower gives
+    def fresh():
+        return linearize(fixtures.group_nerve(name))
+
+    want = {stage: _stage_json(name, stage, fresh()) for stage in STAGES}
+    for order in itertools.permutations(STAGES):
+        t = fresh()
+        for stage in order:
+            assert _stage_json(name, stage, t) == want[stage], (order, stage)
+
+
+def _spoiled_c2_tower(entry):
+    """nerve-c2-id with d0@1 changed at one (row, column) entry."""
+    t = linearize(fixtures.group_nerve("nerve-c2-id"))
+    d0 = t.faces[1][0]
+    entries = {(i, j): v for i, j, v in d0.lin.items()}
+    entries.update(entry)
+    faces = [list(f) for f in t.faces]
+    faces[1][0] = HopfMorphism(d0.src, d0.dst, LinMap.from_entries(
+        d0.lin.dom, d0.lin.cod, entries), name="d0@1")
+    return TruncatedSimplicialHopf(t.levels, faces, t.degens, name="spoiled")
+
+
+def test_a_spoiled_face_fails_wherever_its_laws_are_read():
+    # d0@1 sends (g,1) to 2 times 1; d0 s0 = id still holds, its laws fail
+    t = _spoiled_c2_tower({(0, 2): 2})
+    rep = verify_simplicial(t)
+    assert [c.name for c in rep.failed()] == [
+        "d0d1=d0d0@2", "d0d2=d1d0@2", "d0s1=s0d0@1", "d0@1/respects-mul",
+        "d0@1/respects-comul", "d0@1/respects-counit"]
+    says = ("(d0,s0)@1: (d0,s0)@1.proj/respects-mul fails at row 'g', "
+            "col '(1,g)⊗(g,1)': 1 != 2")
+    with pytest.raises(NotAProjection) as err:
+        level_projection(t, 1, 0, 0)
+    assert str(err.value) == says
+    with pytest.raises(NotAProjection) as err:
+        dim2_pipeline(t)
+    assert str(err.value) == says
+    # the verdict was kept with the spoiled map; the mended one is checked
+    face = t.faces[1][0]
+    face.lin = fixtures.builtin_raw("nerve-c2-id").faces[1][0].lin
+    assert level_projection(t, 1, 0, 0).proj.lin is face.lin
+    assert verify_simplicial(t).ok
 
 
 # -- the group-level oracle ---------------------------------------------------
